@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems are
-``InvalidParameterError``, physics failures (unstable drift, Fock-basis
-overflow) are ``NonHurwitzError`` / ``CutoffTooSmallError``.
+``InvalidParameterError`` (exit 2), and every other ``SimulationError`` is
+a physics failure (exit 3): unstable drift (``NonHurwitzError``), Fock-basis
+overflow (``CutoffTooSmallError``), an unphysical state
+(``UnphysicalStateError``) or a non-unitary transform.
 """
 
 

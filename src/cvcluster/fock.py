@@ -14,6 +14,7 @@ must match the Gaussian evolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,8 @@ class FockResult:
 def integrate_two_mode(config: FockConfig) -> FockResult:
     """Evolve the two-mode vacuum under the damped coupled-mode dynamics.
 
-    Classic fixed-step RK4 on the vectorised density matrix; Hermiticity
+    Classic fixed-step RK4 on the vectorised density matrix, with
+    ceil(t_final / dt) equal steps that end exactly at t_final; Hermiticity
     is re-enforced and the leakage guard checked every few steps.  Aborts
     with CutoffTooSmallError when the top number states accumulate more
     population than ``leakage_guard``.
@@ -158,8 +160,8 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     vec = rho.reshape(-1)
-    n_steps = int(round(config.t_final / config.dt))
-    dt = config.dt
+    n_steps = math.ceil(config.t_final / config.dt)
+    dt = config.t_final / max(n_steps, 1)
     leakage = 0.0
     for step in range(1, n_steps + 1):
         k1 = lindblad @ vec

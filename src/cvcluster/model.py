@@ -170,9 +170,16 @@ def reduced_hamiltonian(bs_coupling: complex, sq_coupling: complex) -> Quadratic
     return QuadraticHamiltonian(f, g)
 
 
+def reduced_drift_diffusion(
+    bs_coupling: complex, sq_coupling: complex, kappa: float
+) -> DriftDiffusion:
+    """Moment generator of the damped cavity + one combined mode with couplings (bs, sq)."""
+    return drift_diffusion(reduced_hamiltonian(bs_coupling, sq_coupling), cavity_damping(kappa, 2))
+
+
 def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:
     """Moment generator of the damped cavity + combined mode model."""
-    return drift_diffusion(reduced_hamiltonian(beta, r * beta), cavity_damping(kappa, 2))
+    return reduced_drift_diffusion(beta, r * beta, kappa)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,12 @@ hand-transcribed reference tables (see tables.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidTransformError, NonHurwitzError
+from .errors import InvalidParameterError, NonHurwitzError
 from .gaussian import (
-    DriftDiffusion,
     GaussianState,
     drift_diffusion,
     evolve,
@@ -40,12 +39,13 @@ from .gaussian import (
     symplectic_from_unitary,
 )
 from .model import (
+    ConvergenceInfo,
     PhysicalParams,
     PulseStage,
     build_effective_hamiltonian,
     cavity_damping,
     convergence_eigenvalues,
-    reduced_hamiltonian,
+    reduced_drift_diffusion,
 )
 from .verify import ClusterGraph, builtin_graph, nullifier_variances
 
@@ -107,31 +107,30 @@ STAGE_PHASE_FACTORS = {
 
 @dataclass(frozen=True, eq=False)
 class ModeTransform:
-    """Unitary mapping ensemble modes to combined modes; rows are the d-modes."""
+    """Unitary mapping ensemble modes to combined modes; rows are the d-modes.
+
+    ``symplectic`` is its quadrature map on all of MODE_LABELS (cavity fixed).
+    """
 
     name: str
     matrix: np.ndarray
+    symplectic: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidParameterError(f"transform matrix must be 4 x 4, got {m.shape}")
-        deviation = float(np.linalg.norm(m @ m.conj().T - np.eye(4)))
-        if deviation > 1e-12:
-            raise InvalidTransformError(f"rows of {self.name!r} are not orthonormal", deviation)
+        extended = np.eye(5, dtype=complex)
+        extended[1:, 1:] = m
+        s = symplectic_from_unitary(extended, tol=1e-12)
         m = m.copy()
-        m.flags.writeable = False
+        for arr in (m, s):
+            arr.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "symplectic", s)
 
     def row(self, j: int) -> np.ndarray:
         return self.matrix[j]
-
-    def extended(self) -> np.ndarray:
-        """5 x 5 unitary acting as identity on the cavity mode."""
-        u = np.zeros((5, 5), dtype=complex)
-        u[0, 0] = 1.0
-        u[1:, 1:] = self.matrix
-        return u
 
 
 def builtin_transform(kind: str) -> ModeTransform:
@@ -294,15 +293,14 @@ class ProtocolRun:
         return self.final_state.marginal(MODE_LABELS[1:])
 
 
-def _reduced_drift(bs: complex, sq: complex, kappa: float) -> DriftDiffusion:
-    return drift_diffusion(reduced_hamiltonian(bs, sq), cavity_damping(kappa, 2))
+def _stage_convergence(bs: complex, sq: complex, kappa: float) -> ConvergenceInfo:
+    """Relaxation spectrum of a stage whose target couplings are (bs, sq).
 
-
-def _stage_regime(bs: complex, sq: complex, kappa: float) -> bool:
-    """True when the stage relaxes slowly (effective coupling <= kappa/2)."""
-    beta_eff = abs(bs)
-    gap2 = beta_eff**2 - abs(sq) ** 2
-    return math.sqrt(max(gap2, 0.0)) <= kappa / 2.0
+    The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|;
+    requires |sq| < |bs| unless bs = 0 (no beam-splitter drive).
+    """
+    beta = abs(bs)
+    return convergence_eigenvalues(beta, abs(sq) / beta if beta > 0 else 0.0, kappa)
 
 
 def run_protocol(
@@ -320,12 +318,13 @@ def run_protocol(
     each stage's own duration).
 
     Raises NonHurwitzError naming the stage when a stage cannot relax;
-    collects slow-regime warnings when beta_eff sqrt(1 - r_eff^2) <= kappa/2.
+    collects slow-regime warnings for every stage that is not underdamped
+    (beta_eff sqrt(1 - r_eff^2) <= kappa/2, or |sq| >= |bs|: no steady state).
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
     state = GaussianState.vacuum(MODE_LABELS)
-    s_ext = symplectic_from_unitary(protocol.transform.extended())
+    s_ext = protocol.transform.symplectic
     kappa = params.kappa
     traces: list[StageTrace] = []
     warnings: list[str] = []
@@ -339,7 +338,7 @@ def run_protocol(
             )
         bs = complex(report.beam_splitter[target])
         sq = complex(report.squeezing[target])
-        slow = _stage_regime(bs, sq, kappa)
+        slow = abs(sq) >= abs(bs) or _stage_convergence(bs, sq, kappa).regime != "underdamped"
         if slow:
             warnings.append(
                 f"stage {k + 1}: slow regime, effective coupling gap "
@@ -347,7 +346,7 @@ def run_protocol(
             )
         if method == "lyapunov_sequential":
             try:
-                sigma_pair = steady_state(_reduced_drift(bs, sq, kappa))
+                sigma_pair = steady_state(reduced_drift_diffusion(bs, sq, kappa))
             except NonHurwitzError as exc:
                 raise NonHurwitzError(
                     f"stage {k + 1} has no steady state", exc.eigenvalue
@@ -390,8 +389,7 @@ def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     infos = []
     for stage in protocol.stages:
         report = transformed_coupling(stage, protocol.transform, params)
-        bs = abs(report.beam_splitter[report.target]) if report.target is not None else 0.0
-        sq = abs(report.squeezing[report.target]) if report.target is not None else 0.0
-        ratio = sq / bs if bs > 0 else 0.0
-        infos.append(convergence_eigenvalues(bs, ratio, params.kappa))
+        bs = report.beam_splitter[report.target] if report.target is not None else 0.0
+        sq = report.squeezing[report.target] if report.target is not None else 0.0
+        infos.append(_stage_convergence(bs, sq, params.kappa))
     return infos

@@ -7,9 +7,8 @@ entries that coefficient matching shows to be misprints; those stages are
 whitelisted in KNOWN_DISCREPANCIES with a short analysis, and
 ``check_tables`` reports any mismatch outside that whitelist.
 
-The generated schedules (stage_from_mode_vector applied to the transform
-rows with the built-in phase factors) are the source of truth used by the
-protocols; the tables exist only for cross-checking.
+The generated schedules (the stages of the built-in protocols) are the
+source of truth; the tables exist only for cross-checking.
 """
 
 from __future__ import annotations
@@ -20,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import PulseStage
-from .protocols import (
-    PROTOCOL_KINDS,
-    STAGE_PHASE_FACTORS,
-    builtin_transform,
-    stage_from_mode_vector,
-)
+from .model import PhysicalParams, PulseStage
+from .protocols import PROTOCOL_KINDS, builtin_protocol
 
 _PI = math.pi
 _S2 = math.sqrt(2.0)
@@ -184,10 +178,11 @@ def reference_stage(
 def generated_stage(
     kind: str, index: int, omega: float = 1.0, r: float = 0.5, duration: float = 4.0
 ) -> PulseStage:
-    """Stage synthesised from the transform row (with its phase factor)."""
-    transform = builtin_transform(kind)
-    factor = STAGE_PHASE_FACTORS[kind][index - 1]
-    return stage_from_mode_vector(factor * transform.row(index - 1), omega, r, duration)
+    """Stage ``index`` (1..4) of the built-in protocol at (omega, r)."""
+    if not 1 <= index <= 4:
+        raise InvalidParameterError(f"stage index must lie in 1..4, got {index}")
+    params = PhysicalParams.from_ratios(omega, r)
+    return builtin_protocol(kind, params, stage_time=duration).stages[index - 1]
 
 
 @dataclass(frozen=True)

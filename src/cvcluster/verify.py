@@ -25,13 +25,6 @@ _EDGES = {
     "tshape": ((0, 1), (0, 2), (0, 3)),
 }
 
-#: Nullifier variances of the vacuum: one 1/2 per quadrature in the combination.
-_VACUUM = {
-    "linear": np.array([1.0, 1.5, 1.5, 1.0]),
-    "square": np.array([1.5, 1.5, 1.5, 1.5]),
-    "tshape": np.array([2.0, 1.0, 1.0, 1.0]),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterGraph:
@@ -120,9 +113,8 @@ def analytic_targets(kind: str, xi: float) -> np.ndarray:
 
 
 def vacuum_targets(kind: str) -> np.ndarray:
-    if kind not in _VACUUM:
-        raise InvalidParameterError(f"unknown graph kind {kind!r}, expected one of {GRAPH_KINDS}")
-    return _VACUUM[kind].copy()
+    """Nullifier variances of the vacuum: 1/2 per quadrature in n_a, (1 + deg a) / 2."""
+    return 0.5 * (1 + builtin_graph(kind).adjacency.sum(axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cvcluster.cli
+from cvcluster import UnphysicalStateError
 from cvcluster.cli import main
+from cvcluster.protocols import PROTOCOL_KINDS
 
 TIMESTAMP_KEY = '"timestamp"'
 
@@ -22,6 +29,22 @@ def load(path):
 
 def strip_timestamp(text):
     return "\n".join(line for line in text.splitlines() if TIMESTAMP_KEY not in line)
+
+
+def cli_document(*argv):
+    """Run the CLI with the document on stdout; returns the parsed document."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(list(argv))
+    return json.loads(buffer.getvalue())
+
+
+def slow_flags(protocol, beta, r):
+    """Per-stage slow-regime flags of a run and the slow flag of a sweep row."""
+    point = ("--protocol", protocol, "--beta", repr(beta), "--r", repr(r), "--method", "lyapunov")
+    run = cli_document("run", *point)
+    (row,) = cli_document("sweep", *point)["rows"]
+    return [stage["slow_regime"] for stage in run["stages"]], row["slow_regime"]
 
 
 # -------------------------------------------------------------------- run
@@ -114,6 +137,31 @@ def test_run_oracle_leakage_is_physics_error(tmp_path):
     assert code == 3
 
 
+def test_unphysical_state_is_physics_error(tmp_path, capsys):
+    # strong squeezing over a long stage: the final covariance misses the
+    # uncertainty bound by 3e-9, past the 1e-9 tolerance
+    code = run_cli(
+        "run", "--protocol", "tshape", "--beta", "10.706661369723824",
+        "--r", "0.8960235229181228", "--stage-time", "15.398318506640937",
+        "--method", "ode", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 3
+    assert "physics error" in capsys.readouterr().err
+
+
+def test_unphysical_oracle_state_is_physics_error(tmp_path, capsys, monkeypatch):
+    def unphysical(config):
+        raise UnphysicalStateError("rho has a significantly negative eigenvalue")
+
+    monkeypatch.setattr(cvcluster.cli, "integrate_two_mode", unphysical)
+    code = run_cli(
+        "run", "--protocol", "linear", "--method", "ode", "--beta", "1.5", "--r", "0.3",
+        "--oracle", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 3
+    assert "physics error" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -159,6 +207,27 @@ def test_sweep_flags_slow_regime(tmp_path):
     assert code == 0
     row = load(out)["rows"][0]
     assert row["slow_regime"] is True  # beta sqrt(1 - r^2) = 0.346 < 1/2
+
+
+def test_slow_regime_flags_agree_at_the_boundary():
+    # beta sqrt(1 - r^2) = kappa / 2 to rounding
+    flags, row = slow_flags("square", 0.577350269189626, 0.5)
+    assert len(set(flags)) == 1
+    assert row == any(flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOL_KINDS),
+    beta=st.floats(0.05, 5.0),
+    r=st.floats(0.0, 0.95),
+)
+def test_slow_regime_flags_follow_the_relaxation_law(protocol, beta, r):
+    gap = beta * math.sqrt(1.0 - r**2)
+    assume(abs(gap - 0.5) > 1e-9)
+    flags, row = slow_flags(protocol, beta, r)
+    assert flags == [gap <= 0.5] * 4
+    assert row == (gap <= 0.5)
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path):

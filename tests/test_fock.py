@@ -1,5 +1,7 @@
 """Tests for the truncated number-basis oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,6 +117,25 @@ def test_matches_gaussian_solver():
     assert abs(result.covariance[2, 2] - np.exp(-2 * xi) / 2) < 1e-3
     assert abs(result.covariance[3, 3] - np.exp(2 * xi) / 2) < 1e-3
     assert result.trace_error < 1e-8
+
+
+@pytest.mark.parametrize("t_final", [0.004, 0.126])
+def test_stage_time_off_the_step_grid(t_final):
+    """Equal steps that end exactly at t_final, even below one nominal dt."""
+    beta, r, kappa = 1.0, 0.3, 1.0
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert result.steps == math.ceil(t_final / 0.01)
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
+
+
+def test_stage_time_on_the_step_grid_keeps_nominal_steps():
+    config = FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=4.0, cutoff_a=4, cutoff_d=4)
+    assert integrate_two_mode(config).steps == 400
 
 
 def test_density_matrix_stays_hermitian():

@@ -109,3 +109,9 @@ def test_tshape_stage_one_amplitude_misprint():
 def test_every_whitelist_entry_has_notes():
     for key, notes in KNOWN_DISCREPANCIES.items():
         assert notes, f"whitelist entry {key} lacks an explanation"
+
+
+@pytest.mark.parametrize("index", [0, 5, -1])
+def test_generated_stage_rejects_index_outside_one_to_four(index):
+    with pytest.raises(InvalidParameterError):
+        generated_stage("linear", index)

@@ -80,6 +80,15 @@ def test_vacuum_variances(kind):
     assert_allclose(nullifier_variances(vac, builtin_graph(kind)), vacuum_targets(kind), atol=1e-14)
 
 
+def test_vacuum_targets_are_half_of_one_plus_degree():
+    """(1 + deg a) / 2, exact in binary floating point."""
+    assert vacuum_targets("linear").tolist() == [1.0, 1.5, 1.5, 1.0]
+    assert vacuum_targets("square").tolist() == [1.5, 1.5, 1.5, 1.5]
+    assert vacuum_targets("tshape").tolist() == [2.0, 1.0, 1.0, 1.0]
+    with pytest.raises(InvalidParameterError):
+        vacuum_targets("pentagon")
+
+
 def test_cavity_is_marginalised_out():
     vac5 = GaussianState.vacuum(("cavity", "e1", "e2", "e3", "e4"))
     assert_allclose(
