@@ -385,11 +385,21 @@ def run_protocol(
 
 
 def stage_relaxation(protocol: Protocol, params: PhysicalParams):
-    """Convergence info of every stage (analytic eigenvalues and time scale)."""
+    """Convergence info of every stage (analytic eigenvalues and time scale).
+
+    Raises NonHurwitzError naming the stage, as ``run_protocol`` does, when
+    a stage squeezes at least as strongly as it swaps (|sq| >= |bs|, sq != 0):
+    its reduced pair has no steady state.
+    """
     infos = []
-    for stage in protocol.stages:
+    for k, stage in enumerate(protocol.stages):
         report = transformed_coupling(stage, protocol.transform, params)
         bs = report.beam_splitter[report.target] if report.target is not None else 0.0
         sq = report.squeezing[report.target] if report.target is not None else 0.0
+        if abs(sq) >= abs(bs) and sq != 0:
+            eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, params.kappa).A)
+            raise NonHurwitzError(
+                f"stage {k + 1} has no steady state", eigvals[np.argmax(eigvals.real)]
+            )
         infos.append(_stage_convergence(bs, sq, params.kappa))
     return infos

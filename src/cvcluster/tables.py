@@ -260,13 +260,12 @@ def check_tables(omega: float = 1.0, r: float = 0.5, duration: float = 4.0) -> T
 
     Any r in (0, 1) exposes the missing-r entries; the default is 0.5.
     """
+    params = PhysicalParams.from_ratios(omega, r)
     entries = []
     for kind in PROTOCOL_KINDS:
-        for index in range(1, 5):
-            mismatches = compare_stages(
-                generated_stage(kind, index, omega, r, duration),
-                reference_stage(kind, index, omega, r, duration),
-            )
+        stages = builtin_protocol(kind, params, stage_time=duration).stages
+        for index, stage in enumerate(stages, start=1):
+            mismatches = compare_stages(stage, reference_stage(kind, index, omega, r, duration))
             notes = KNOWN_DISCREPANCIES.get((kind, index), ())
             entries.append(
                 TableCheckEntry(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -18,13 +19,52 @@ from cvcluster import (
     integrate_two_mode,
     two_mode_drift_diffusion,
 )
-from cvcluster.fock import destroy
+from cvcluster.fock import _step_count, destroy, quadrature_operators
 
 
 def vacuum_rho(dim):
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
+
+
+def full_basis_rk4(config):
+    """Reference: the same RK4 on the whole row-major vec(rho), every entry
+    of the density matrix kept.  Returns (rho, leakage, steps)."""
+    da, dd = config.cutoff_a + 1, config.cutoff_d + 1
+    dim = da * dd
+    a = sp.kron(destroy(da), sp.identity(dd, format="csr", dtype=complex), format="csr")
+    d = sp.kron(sp.identity(da, format="csr", dtype=complex), destroy(dd), format="csr")
+    h = config.beta * (a.conj().T @ d + config.r * (a.conj().T @ d.conj().T))
+    h = (h + h.conj().T).tocsr()
+    number_a = (a.conj().T @ a).tocsr()
+    gamma = 2.0 * config.kappa
+    eye = sp.identity(dim, format="csr", dtype=complex)
+    lindblad = (
+        -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+        + gamma * sp.kron(a, a.conj())
+        - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a.T))
+    ).tocsr()
+    vec = vacuum_rho(dim).reshape(-1)
+    n_steps = math.ceil(config.t_final / config.dt)
+    dt = config.t_final / max(n_steps, 1)
+    leakage = 0.0
+    for step in range(1, n_steps + 1):
+        k1 = lindblad @ vec
+        k2 = lindblad @ (vec + 0.5 * dt * k1)
+        k3 = lindblad @ (vec + 0.5 * dt * k2)
+        k4 = lindblad @ (vec + dt * k3)
+        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % 25 == 0 or step == n_steps:
+            rho = vec.reshape(dim, dim)
+            rho = 0.5 * (rho + rho.conj().T)
+            pops = np.diag(rho).real.reshape(da, dd)
+            leakage = float(pops[-1, :].sum() + pops[:, -1].sum() - pops[-1, -1])
+            if leakage > config.leakage_guard:
+                raise CutoffTooSmallError("reference reached the truncation boundary", leakage)
+            vec = rho.reshape(-1)
+    rho = vec.reshape(dim, dim)
+    return 0.5 * (rho + rho.conj().T), leakage, n_steps
 
 
 # -------------------------------------------------------- moment extraction
@@ -150,6 +190,74 @@ def test_step_halving_convergence():
     halved = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=8, cutoff_d=8, dt=0.01)
     gap = np.abs(integrate_two_mode(config).covariance - integrate_two_mode(halved).covariance)
     assert gap.max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "beta,r,t_final,cutoff",
+    [(1.0, 0.3, 0.126, 6), (1.0, 0.2, 2.0, 8), (0.8, 0.2, 1.234, 8), (1.2, 0.1, 3.0, 6)],
+)
+def test_parity_sector_matches_full_basis_bit_for_bit(beta, r, t_final, cutoff):
+    """Entries coupling different parities of n_a + n_d stay exactly zero,
+    so integrating only the sector gives the full-basis result exactly."""
+    config = FockConfig(
+        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff, cutoff_d=cutoff
+    )
+    dims = (cutoff + 1, cutoff + 1)
+    rho, leakage, steps = full_basis_rk4(config)
+    total = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).reshape(-1)
+    assert np.all(rho[(total[:, None] - total[None, :]) % 2 == 1] == 0)
+    result = integrate_two_mode(config)
+    mean = np.array([np.trace(rho @ x.toarray()).real for x in quadrature_operators(dims)])
+    assert np.array_equal(result.rho, rho)
+    assert np.array_equal(result.covariance, covariance_from_density(rho, dims))
+    assert np.array_equal(result.mean, mean)
+    assert result.trace_error == abs(np.trace(rho).real - 1.0)
+    assert result.leakage == leakage
+    assert result.steps == steps
+
+
+@pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
+def test_grid_times_take_nominal_steps(t_final):
+    assert _step_count(t_final, 0.01) == round(t_final * 100)
+
+
+def test_quotient_a_few_ulps_past_an_integer_takes_no_extra_step():
+    beta, r, kappa, t_final = 1.0, 0.3, 1.0, 0.07
+    assert t_final / 0.01 > 7  # 7.000000000000001
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert result.steps == 7
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=UnphysicalStateError,
+    reason="RK4 step error at dt 0.01: rho's smallest eigenvalue is -1.95e-9 at every "
+    "cutoff from 8 to 20 and -1.2e-10 at dt 0.005; needs dt chosen from the generator's scale",
+)
+def test_short_stage_density_matrix_is_physical():
+    beta, r, kappa, t_final = 1.5, 0.3, 1.0, 0.5
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=8, cutoff_d=8)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-6
+
+
+def test_leakage_guard_reports_the_full_basis_leakage():
+    config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff_a=4, cutoff_d=4)
+    with pytest.raises(CutoffTooSmallError) as reference:
+        full_basis_rk4(config)
+    with pytest.raises(CutoffTooSmallError) as err:
+        integrate_two_mode(config)
+    assert err.value.leakage == reference.value.leakage
 
 
 def test_leakage_guard_aborts_on_small_cutoff():

@@ -1,5 +1,6 @@
 """Tests for the mode transforms, stage synthesis and protocol runners."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -258,6 +259,23 @@ def test_stage_relaxation_infos():
     assert len(infos) == 4
     assert all(info.regime == "underdamped" for info in infos)
     assert all(abs(info.time_to_steady - 4.0) < 1e-12 for info in infos)
+
+
+def test_stage_relaxation_rejects_a_stage_without_steady_state():
+    """|sq| >= |bs| has no steady state: the same NonHurwitzError as the runner."""
+    params = PhysicalParams.from_ratios(1.0, 0.5)
+    protocol = builtin_protocol("linear", params)
+    for swap, squeeze in ((1.0, 2.0), (1.0, 1.0), (0.0, 1.0)):
+        stages = tuple(
+            dataclasses.replace(s, omega_u=swap * s.omega_u, omega_s=squeeze * s.omega_u)
+            for s in protocol.stages
+        )
+        broken = dataclasses.replace(protocol, stages=stages)
+        with pytest.raises(NonHurwitzError, match="stage 1 has no steady state") as relaxation:
+            stage_relaxation(broken, params)
+        with pytest.raises(NonHurwitzError) as runner:
+            run_protocol(broken, params)
+        assert str(relaxation.value) == str(runner.value)
 
 
 def test_unknown_method_rejected():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvcluster import InvalidParameterError
+from cvcluster import InvalidParameterError, tables
 from cvcluster.tables import (
     KNOWN_DISCREPANCIES,
     check_tables,
@@ -64,6 +64,24 @@ def test_generated_matches_reference_exactly(kind, index):
         reference_stage(kind, index, omega=1.7, r=0.35),
     )
     assert mismatches == []
+
+
+def test_check_tables_builds_one_protocol_per_kind(monkeypatch):
+    built = []
+    original = tables.builtin_protocol
+
+    def counting(kind, *args, **kwargs):
+        built.append(kind)
+        return original(kind, *args, **kwargs)
+
+    monkeypatch.setattr(tables, "builtin_protocol", counting)
+    report = check_tables()
+    assert sorted(built) == ["linear", "square", "tshape"]
+    assert len(report.entries) == 12
+    for entry in report.entries:
+        assert compare_stages(
+            generated_stage(entry.kind, entry.index), reference_stage(entry.kind, entry.index)
+        ) == list(entry.mismatches)
 
 
 def test_mismatching_stages_are_exactly_the_whitelisted_ones():
