@@ -7,7 +7,7 @@ schema name and version; floats serialise with full round-trip precision.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error, 3 physics
 error (any other SimulationError: an unstable stage, truncated-basis
-overflow, an unphysical state).
+overflow, an unphysical state, a NaN or infinite number in the result).
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ def _document(kind: str, payload: dict) -> dict:
 
 
 def _write(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SimulationError(f"result holds a NaN or infinite number: {exc}") from exc
     if out is None:
         sys.stdout.write(text)
     else:
@@ -164,6 +167,8 @@ def _oracle_section(config: RunConfig) -> dict:
     return {
         "cutoff": config.oracle_cutoff,
         "t_final": config.stage_time,
+        "steps": fock.steps,
+        "dt": fock.dt,
         "max_covariance_gap": gap,
         "trace_error": fock.trace_error,
         "leakage": fock.leakage,
@@ -363,7 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=sorted(_METHODS), default=None)
     run.add_argument("--tol", type=float, default=None, help="verdict tolerance per nullifier")
     run.add_argument("--oracle", action="store_true", help="add the number-basis cross-check")
-    run.add_argument("--oracle-cutoff", type=int, default=None)
+    run.add_argument(
+        "--oracle-cutoff",
+        type=int,
+        default=None,
+        help="largest photon number per mode of the oracle's basis, which keeps "
+        "n_a + n_d <= cutoff (default 20)",
+    )
     run.add_argument("--config", default=None, help="JSON config or previous result document")
     run.add_argument("--out", default=None, help="output path (stdout when omitted)")
     run.set_defaults(func=cmd_run)

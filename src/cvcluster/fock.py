@@ -11,6 +11,18 @@ of the Gaussian solver (no shared dynamics code), which makes it a
 cross-check: for moderate r and adequate cutoffs every covariance entry
 must match the Gaussian evolution.
 
+The basis is the excitation-number simplex: the number states with
+n_a / cutoff_a + n_d / cutoff_d <= 1, i.e. n_a + n_d <= N for equal
+cutoffs N (231 of the 441 square-basis states at N = 20).  It suffices
+because the pair term a^dag d^dag creates photons in both modes at once
+and a^dag d only moves them between modes: the population falls off with
+the total photon number n_a + n_d, so a square basis n_a, n_d <= N spends
+nearly half its states on pairs like (15, 15) that stay empty long after
+the states n_a + n_d = N fill.  The simplex is closed under a and d.  Its
+boundary, the retained states that a^dag or d^dag maps out of it, carries
+the population the truncation would lose next, and that population is
+checked against ``leakage_guard``.
+
 Only the parity sector of rho is integrated: the entries |m><n| whose ket
 and bra have the same parity of n_a + n_d.  a^dag d, a^dag d^dag and their
 conjugates change n_a + n_d by 0 or +-2, and the jump a rho a^dag lowers
@@ -38,9 +50,11 @@ _GUARD_EVERY = 25
 class FockConfig:
     """Truncated-basis integration settings.
 
-    ``cutoff_a`` / ``cutoff_d`` are the largest retained photon numbers
-    (basis dimension cutoff + 1).  ``leakage_guard`` bounds the population
-    allowed on the top number states before the run aborts.
+    ``cutoff_a`` / ``cutoff_d`` are the largest retained photon numbers of
+    each mode, reached when the other mode is empty: the basis keeps the
+    states with n_a / cutoff_a + n_d / cutoff_d <= 1.  ``leakage_guard``
+    bounds the population allowed on the boundary of that simplex before
+    the run aborts.
     """
 
     beta: float
@@ -109,39 +123,71 @@ def _moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.nda
         raise UnphysicalStateError("rho is not Hermitian")
     if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-9:
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")
-    quads = [x.toarray() for x in quadrature_operators(dims)]
-    means = np.array([np.trace(rho @ x).real for x in quads])
+
+    def expectation(x) -> float:
+        # tr(x rho) = sum over the nonzeros x[l, k] of x[l, k] rho[k, l]
+        x = x.tocoo()
+        return float((x.data * rho[x.col, x.row]).sum().real)
+
+    quads = quadrature_operators(dims)
+    means = np.array([expectation(x) for x in quads])
     n2 = len(quads)
     cov = np.empty((n2, n2))
     for i in range(n2):
-        xi_rho = quads[i] @ rho
         for j in range(i, n2):
             # Re <x_j x_i> is the symmetrised moment for Hermitian operators
-            sym = np.trace(quads[j] @ xi_rho).real
+            sym = expectation(quads[j] @ quads[i])
             cov[i, j] = cov[j, i] = sym - means[i] * means[j]
     return means, cov
 
 
-def _liouvillian(config: FockConfig) -> tuple[sp.csr_matrix, np.ndarray]:
+def _simplex(cutoff_a: int, cutoff_d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The retained number states and their boundary.
+
+    Returns the ascending square-basis indices n_a * (cutoff_d + 1) + n_d
+    of the states with n_a * cutoff_d + n_d * cutoff_a <= cutoff_a *
+    cutoff_d, and a mask over them of the boundary: the states that a^dag
+    or d^dag maps out of the basis (n_a + n_d = N for equal cutoffs N).
+    """
+
+    def retained(n_a, n_d):
+        return n_a * cutoff_d + n_d * cutoff_a <= cutoff_a * cutoff_d
+
+    n_a, n_d = np.divmod(np.arange((cutoff_a + 1) * (cutoff_d + 1)), cutoff_d + 1)
+    basis = np.flatnonzero(retained(n_a, n_d))
+    n_a, n_d = n_a[basis], n_d[basis]
+    boundary = ~(retained(n_a + 1, n_d) & retained(n_a, n_d + 1))
+    return basis, boundary
+
+
+def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """Generator on the parity sector of row-major vec(rho), and the sector.
 
-    ``keep`` holds the ascending flat indices i * dim + j whose ket i and
-    bra j have the same parity of n_a + n_d.  Each superoperator term is
+    rho lives on the retained states ``basis`` (see ``_simplex``): ``a``,
+    ``h`` and ``a^dag a`` are built on the square basis and restricted to
+    them, which drops the transitions out of the simplex.  ``keep`` holds the ascending flat
+    indices i * n + j of the n x n restricted rho whose ket i and bra j
+    have the same parity of n_a + n_d.  Each superoperator term is
     restricted to ``[keep][:, keep]`` before the terms are summed: every
     term maps the sector into itself, so each row keeps the values and the
-    column order of the full generator's row, and a matvec does the same
-    floating-point sums as on the full vector.
+    column order of the whole-basis generator's row, and a matvec does the
+    same floating-point sums as on the whole vector.
     """
     da, dd = config.cutoff_a + 1, config.cutoff_d + 1
+
+    def restrict(op):
+        return op.tocsr()[basis][:, basis]
+
     a = sp.kron(destroy(da), sp.identity(dd, format="csr", dtype=complex), format="csr")
     d = sp.kron(sp.identity(da, format="csr", dtype=complex), destroy(dd), format="csr")
     h = config.beta * (a.conj().T @ d + config.r * (a.conj().T @ d.conj().T))
-    h = (h + h.conj().T).tocsr()
-    number_a = (a.conj().T @ a).tocsr()
+    h = restrict(h + h.conj().T)
+    number_a = restrict(a.conj().T @ a)
+    a = restrict(a)
     gamma = 2.0 * config.kappa
-    dim = da * dd
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    parity = np.add.outer(np.arange(da), np.arange(dd)).reshape(-1) % 2
+    eye = sp.identity(basis.size, format="csr", dtype=complex)
+    n_a, n_d = np.divmod(basis, dd)
+    parity = (n_a + n_d) % 2
     keep = np.flatnonzero(parity[:, None] == parity[None, :])
 
     def sector(term):
@@ -156,11 +202,6 @@ def _liouvillian(config: FockConfig) -> tuple[sp.csr_matrix, np.ndarray]:
     return lindblad.tocsr(), keep
 
 
-def _top_level_population(populations: np.ndarray, da: int, dd: int) -> float:
-    pops = populations.reshape(da, dd)
-    return float(pops[-1, :].sum() + pops[:, -1].sum() - pops[-1, -1])
-
-
 def _step_count(t_final: float, dt: float) -> int:
     """ceil(t_final / dt), except that a quotient within 4 ulps of an
     integer counts as that integer (0.07 / 0.01 = 7.000000000000001)."""
@@ -173,7 +214,10 @@ def _step_count(t_final: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class FockResult:
-    """Density matrix and Gaussian-layer-compatible moments."""
+    """Density matrix and Gaussian-layer-compatible moments.
+
+    ``steps`` equal steps of ``dt`` took the state to ``t_final``.
+    """
 
     rho: np.ndarray
     mean: np.ndarray
@@ -181,51 +225,68 @@ class FockResult:
     trace_error: float
     leakage: float
     steps: int
+    dt: float
 
 
 def integrate_two_mode(config: FockConfig) -> FockResult:
     """Evolve the two-mode vacuum under the damped coupled-mode dynamics.
 
     Classic fixed-step RK4 on the parity sector of the vectorised density
-    matrix, with ceil(t_final / dt) equal steps that end exactly at t_final
-    (a quotient within a few ulps of an integer is that integer);
-    Hermiticity is re-enforced and the leakage guard checked every few
-    steps.  Aborts with CutoffTooSmallError when the top number states
-    accumulate more population than ``leakage_guard``.  ``rho`` is the full
-    density matrix, zero outside the sector.
+    matrix over the excitation-number simplex, with ceil(t_final / dt)
+    equal steps that end exactly at t_final (a quotient within a few ulps
+    of an integer is that integer); Hermiticity is re-enforced and the
+    leakage guard checked every few steps.  Aborts with CutoffTooSmallError
+    when the boundary of the simplex accumulates more population than
+    ``leakage_guard``.  ``rho`` is the full (cutoff_a + 1)(cutoff_d + 1)
+    square density matrix, zero outside the sector and the simplex.
     """
-    lindblad, keep = _liouvillian(config)
-    da, dd = config.cutoff_a + 1, config.cutoff_d + 1
-    dim = da * dd
-    rows, cols = np.divmod(keep, dim)
-    adjoint = np.searchsorted(keep, cols * dim + rows)
-    diagonal = np.searchsorted(keep, np.arange(dim) * (dim + 1))
+    basis, boundary = _simplex(config.cutoff_a, config.cutoff_d)
+    lindblad, keep = _liouvillian(config, basis)
+    n = basis.size
+    rows, cols = np.divmod(keep, n)
+    adjoint = np.searchsorted(keep, cols * n + rows)
+    diagonal = np.searchsorted(keep, np.arange(n) * (n + 1))
+    on_boundary = diagonal[boundary]
     vec = np.zeros(keep.size, dtype=complex)
     vec[0] = 1.0  # keep[0] = 0 is |0, 0><0, 0|
     n_steps = _step_count(config.t_final, config.dt)
     dt = config.t_final / max(n_steps, 1)
     leakage = 0.0
     for step in range(1, n_steps + 1):
-        k1 = lindblad @ vec
-        k2 = lindblad @ (vec + 0.5 * dt * k1)
-        k3 = lindblad @ (vec + 0.5 * dt * k2)
-        k4 = lindblad @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # vec += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, with
+        # each stage's input built in place in k
+        k = lindblad @ vec
+        acc = k.copy()
+        k *= 0.5 * dt
+        k += vec
+        k = lindblad @ k
+        acc += 2.0 * k
+        k *= 0.5 * dt
+        k += vec
+        k = lindblad @ k
+        acc += 2.0 * k
+        k *= dt
+        k += vec
+        acc += lindblad @ k
+        acc *= dt / 6.0
+        vec += acc
         if step % _GUARD_EVERY == 0 or step == n_steps:
             vec = 0.5 * (vec + vec[adjoint].conj())
-            leakage = _top_level_population(vec[diagonal].real, da, dd)
+            leakage = float(vec[on_boundary].real.sum())
             if leakage > config.leakage_guard:
                 raise CutoffTooSmallError(
                     f"population reached the truncation boundary at t = {step * dt:.4g}; "
                     "increase cutoff_a / cutoff_d",
                     leakage,
                 )
-    rho = np.zeros(dim * dim, dtype=complex)
-    rho[keep] = vec
-    rho = rho.reshape(dim, dim)
+    rho_basis = np.zeros(n * n, dtype=complex)
+    rho_basis[keep] = vec
+    dims = (config.cutoff_a + 1, config.cutoff_d + 1)
+    rho = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    rho[np.ix_(basis, basis)] = rho_basis.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     trace_error = abs(np.trace(rho).real - 1.0)
-    mean, cov = _moments(rho, (da, dd))
+    mean, cov = _moments(rho, dims)
     return FockResult(
         rho=rho,
         mean=mean,
@@ -233,4 +294,5 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
         trace_error=trace_error,
         leakage=leakage,
         steps=n_steps,
+        dt=dt,
     )

@@ -129,6 +129,16 @@ def test_run_oracle_section(tmp_path):
     assert oracle["trace_error"] < 1e-8
 
 
+@pytest.mark.parametrize("stage_time,steps,dt", [("4", 400, 0.01), ("0.07", 7, 0.07 / 7)])
+def test_run_oracle_records_the_steps_taken(stage_time, steps, dt):
+    oracle = cli_document(
+        "run", "--protocol", "linear", "--r", "0.3", "--beta", "1.0",
+        "--stage-time", stage_time, "--method", "ode", "--tol", "0.2",
+        "--oracle", "--oracle-cutoff", "12",
+    )["oracle"]
+    assert (oracle["steps"], oracle["dt"]) == (steps, dt)
+
+
 def test_run_oracle_leakage_is_physics_error(tmp_path):
     code = run_cli(
         "run", "--protocol", "linear", "--r", "0.8", "--beta", "1.0",
@@ -160,6 +170,17 @@ def test_unphysical_oracle_state_is_physics_error(tmp_path, capsys, monkeypatch)
     )
     assert code == 3
     assert "physics error" in capsys.readouterr().err
+
+
+def test_non_finite_number_is_physics_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cvcluster.cli, "effective_spontaneous_rate", lambda *args: float("nan"))
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "physical", "--gamma-over-2pi", "6e6", "--drive-ratio", "0.005", "--out", str(out)
+    )
+    assert code == 3
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- sweep

@@ -28,24 +28,49 @@ def vacuum_rho(dim):
     return rho
 
 
-def full_basis_rk4(config):
-    """Reference: the same RK4 on the whole row-major vec(rho), every entry
-    of the density matrix kept.  Returns (rho, leakage, steps)."""
+def simplex_states(cutoff_a, cutoff_d):
+    """The number states (n_a, n_d) the oracle keeps, in square-basis order."""
+    return [
+        (n_a, n_d)
+        for n_a in range(cutoff_a + 1)
+        for n_d in range(cutoff_d + 1)
+        if n_a * cutoff_d + n_d * cutoff_a <= cutoff_a * cutoff_d
+    ]
+
+
+def square_states(cutoff_a, cutoff_d):
+    return [(n_a, n_d) for n_a in range(cutoff_a + 1) for n_d in range(cutoff_d + 1)]
+
+
+def reference_rk4(config, states):
+    """Reference: the same RK4 on the whole row-major vec(rho) over the
+    given number states, both parities kept, with the operators built on
+    the square basis and then restricted to the states.  The leakage is the
+    population on the states that a^dag or d^dag maps outside them.
+    Returns (rho on the square basis, leakage, steps, dt)."""
     da, dd = config.cutoff_a + 1, config.cutoff_d + 1
-    dim = da * dd
+    index = np.array([n_a * dd + n_d for n_a, n_d in states])
+    retained = set(states)
+    boundary = [
+        i
+        for i, (n_a, n_d) in enumerate(states)
+        if (n_a + 1, n_d) not in retained or (n_a, n_d + 1) not in retained
+    ]
+    n = len(states)
     a = sp.kron(destroy(da), sp.identity(dd, format="csr", dtype=complex), format="csr")
     d = sp.kron(sp.identity(da, format="csr", dtype=complex), destroy(dd), format="csr")
     h = config.beta * (a.conj().T @ d + config.r * (a.conj().T @ d.conj().T))
-    h = (h + h.conj().T).tocsr()
-    number_a = (a.conj().T @ a).tocsr()
+    h = (h + h.conj().T).tocsr()[index][:, index]
+    number_a = (a.conj().T @ a).tocsr()[index][:, index]
+    a = a[index][:, index]
     gamma = 2.0 * config.kappa
-    eye = sp.identity(dim, format="csr", dtype=complex)
+    eye = sp.identity(n, format="csr", dtype=complex)
     lindblad = (
         -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
         + gamma * sp.kron(a, a.conj())
         - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a.T))
     ).tocsr()
-    vec = vacuum_rho(dim).reshape(-1)
+    vec = vacuum_rho(n).reshape(-1)
     n_steps = math.ceil(config.t_final / config.dt)
     dt = config.t_final / max(n_steps, 1)
     leakage = 0.0
@@ -56,15 +81,15 @@ def full_basis_rk4(config):
         k4 = lindblad @ (vec + dt * k3)
         vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % 25 == 0 or step == n_steps:
-            rho = vec.reshape(dim, dim)
+            rho = vec.reshape(n, n)
             rho = 0.5 * (rho + rho.conj().T)
-            pops = np.diag(rho).real.reshape(da, dd)
-            leakage = float(pops[-1, :].sum() + pops[:, -1].sum() - pops[-1, -1])
+            leakage = float(np.diag(rho).real[boundary].sum())
             if leakage > config.leakage_guard:
                 raise CutoffTooSmallError("reference reached the truncation boundary", leakage)
             vec = rho.reshape(-1)
-    rho = vec.reshape(dim, dim)
-    return 0.5 * (rho + rho.conj().T), leakage, n_steps
+    rho = np.zeros((da * dd, da * dd), dtype=complex)
+    rho[np.ix_(index, index)] = vec.reshape(n, n)
+    return 0.5 * (rho + rho.conj().T), leakage, n_steps, dt
 
 
 # -------------------------------------------------------- moment extraction
@@ -175,7 +200,9 @@ def test_stage_time_off_the_step_grid(t_final):
 
 def test_stage_time_on_the_step_grid_keeps_nominal_steps():
     config = FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=4.0, cutoff_a=4, cutoff_d=4)
-    assert integrate_two_mode(config).steps == 400
+    result = integrate_two_mode(config)
+    assert result.steps == 400
+    assert result.dt == 0.01
 
 
 def test_density_matrix_stays_hermitian():
@@ -194,18 +221,30 @@ def test_step_halving_convergence():
 
 @pytest.mark.parametrize(
     "beta,r,t_final,cutoff",
-    [(1.0, 0.3, 0.126, 6), (1.0, 0.2, 2.0, 8), (0.8, 0.2, 1.234, 8), (1.2, 0.1, 3.0, 6)],
+    [
+        (1.0, 0.3, 0.126, 6),
+        (1.0, 0.2, 2.0, 8),
+        (0.8, 0.2, 1.234, 8),
+        (1.2, 0.1, 3.0, 6),
+        pytest.param(1.0, 0.2, 2.0, (6, 10), id="1.0-0.2-2.0-6x10"),
+    ],
 )
 def test_parity_sector_matches_full_basis_bit_for_bit(beta, r, t_final, cutoff):
     """Entries coupling different parities of n_a + n_d stay exactly zero,
-    so integrating only the sector gives the full-basis result exactly."""
+    so integrating only the sector gives the result of the whole simplex
+    basis exactly."""
+    cutoff_a, cutoff_d = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
     config = FockConfig(
-        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff, cutoff_d=cutoff
+        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff_a, cutoff_d=cutoff_d
     )
-    dims = (cutoff + 1, cutoff + 1)
-    rho, leakage, steps = full_basis_rk4(config)
+    dims = (cutoff_a + 1, cutoff_d + 1)
+    states = simplex_states(cutoff_a, cutoff_d)
+    rho, leakage, steps, dt = reference_rk4(config, states)
     total = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).reshape(-1)
     assert np.all(rho[(total[:, None] - total[None, :]) % 2 == 1] == 0)
+    outside = np.ones(dims[0] * dims[1], dtype=bool)
+    outside[[n_a * dims[1] + n_d for n_a, n_d in states]] = False
+    assert np.all(rho[outside] == 0) and np.all(rho[:, outside] == 0)
     result = integrate_two_mode(config)
     mean = np.array([np.trace(rho @ x.toarray()).real for x in quadrature_operators(dims)])
     assert np.array_equal(result.rho, rho)
@@ -214,6 +253,30 @@ def test_parity_sector_matches_full_basis_bit_for_bit(beta, r, t_final, cutoff):
     assert result.trace_error == abs(np.trace(rho).real - 1.0)
     assert result.leakage == leakage
     assert result.steps == steps
+    assert result.dt == dt
+
+
+def test_simplex_matches_square_basis():
+    """Dropping the states outside the simplex moves the covariance by no
+    more than a few times the boundary population."""
+    config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=12, cutoff_d=12)
+    dims = (13, 13)
+    square, _, _, _ = reference_rk4(config, square_states(12, 12))
+    result = integrate_two_mode(config)
+    assert len(simplex_states(12, 12)) == 91
+    assert np.abs(result.covariance - covariance_from_density(square, dims)).max() < 1e-8
+
+
+def test_unequal_cutoffs_match_gaussian_solver():
+    beta, r, kappa, t_final = 1.0, 0.2, 1.0, 2.0
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=10)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert result.rho.shape == (77, 77)
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
 
 
 @pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
@@ -231,6 +294,7 @@ def test_quotient_a_few_ulps_past_an_integer_takes_no_extra_step():
         GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert result.steps == 7
+    assert result.dt == t_final / 7
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
 
 
@@ -252,9 +316,10 @@ def test_short_stage_density_matrix_is_physical():
 
 
 def test_leakage_guard_reports_the_full_basis_leakage():
+    """The guard reads the boundary population the whole simplex basis has."""
     config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff_a=4, cutoff_d=4)
     with pytest.raises(CutoffTooSmallError) as reference:
-        full_basis_rk4(config)
+        reference_rk4(config, simplex_states(4, 4))
     with pytest.raises(CutoffTooSmallError) as err:
         integrate_two_mode(config)
     assert err.value.leakage == reference.value.leakage
