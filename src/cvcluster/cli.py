@@ -5,9 +5,10 @@ times in units of 1/kappa); the ``physical`` subcommand exposes the two
 SI-unit estimators.  Results are written as a single JSON document with a
 schema name and version; floats serialise with full round-trip precision.
 
-Exit codes: 0 pass, 1 verdict failure, 2 configuration error, 3 physics
-error (any other SimulationError: an unstable stage, truncated-basis
-overflow, an unphysical state, a NaN or infinite number in the result).
+Exit codes: 0 pass, 1 verdict failure, 2 configuration error (including a
+NaN or infinite input number), 3 physics error (any other SimulationError:
+an unstable stage, truncated-basis overflow, an unphysical state, a NaN or
+infinite number in the result).
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class ConfigError(Exception):
     """Invalid run configuration; message names the offending field."""
 
 
+def _require_finite(field: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"field {field!r}: must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     protocol: str
@@ -65,6 +71,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.protocol not in PROTOCOL_KINDS:
             raise ConfigError(f"field 'protocol': unknown value {self.protocol!r}")
+        for field in ("r", "beta", "stage_time", "tol"):
+            _require_finite(field, getattr(self, field))
         if not 0.0 <= self.r < 1.0:
             raise ConfigError(f"field 'r': must lie in [0, 1), got {self.r}")
         if self.beta <= 0:
@@ -335,6 +343,10 @@ def cmd_physical(args) -> int:
         raise ConfigError("fields 'gamma_over_2pi' and 'drive_ratio' must be given together")
     if args.finesse is None and args.gamma_over_2pi is None:
         raise ConfigError("nothing to compute: give a finesse/length or a gamma/ratio pair")
+    for field in ("finesse", "round_trip_length", "gamma_over_2pi", "drive_ratio"):
+        value = getattr(args, field)
+        if value is not None:
+            _require_finite(field, value)
     if args.finesse is not None:
         kappa = cavity_decay_from_finesse(args.finesse, args.round_trip_length)
         payload["cavity"] = {

@@ -26,12 +26,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import InvalidParameterError
 from .gaussian import DriftDiffusion, QuadraticHamiltonian, drift_diffusion
 
 TWO_PI = 2.0 * math.pi
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299_792_458.0
 
 #: Detuning / coupling ratio above which the dispersive approximation is
 #: accepted (the worked operating point uses Omega/Delta = 0.005).

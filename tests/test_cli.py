@@ -129,7 +129,7 @@ def test_run_oracle_section(tmp_path):
     assert oracle["trace_error"] < 1e-8
 
 
-@pytest.mark.parametrize("stage_time,steps,dt", [("4", 400, 0.01), ("0.07", 7, 0.07 / 7)])
+@pytest.mark.parametrize("stage_time,steps,dt", [("4", 16, 0.25), ("0.07", 1, 0.07)])
 def test_run_oracle_records_the_steps_taken(stage_time, steps, dt):
     oracle = cli_document(
         "run", "--protocol", "linear", "--r", "0.3", "--beta", "1.0",
@@ -180,6 +180,28 @@ def test_non_finite_number_is_physics_error(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("run", "--protocol", "linear", "--r", "nan"), "r"),
+        (("run", "--protocol", "linear", "--beta", "nan"), "beta"),
+        (("run", "--protocol", "linear", "--stage-time", "inf"), "stage_time"),
+        (("run", "--protocol", "linear", "--tol", "inf"), "tol"),
+        (("sweep", "--protocol", "linear", "--stage-time", "4,inf"), "stage_time"),
+        (("physical", "--finesse", "nan", "--round-trip-length", "0.1"), "finesse"),
+        (("physical", "--finesse", "1.7e5", "--round-trip-length", "inf"), "round_trip_length"),
+        (("physical", "--gamma-over-2pi", "inf", "--drive-ratio", "0.005"), "gamma_over_2pi"),
+        (("physical", "--gamma-over-2pi", "6e6", "--drive-ratio", "nan"), "drive_ratio"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_non_finite_input_is_config_error(tmp_path, capsys, argv, field):
+    out = tmp_path / "x.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert f"field '{field}': must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from cvcluster import (
     integrate_two_mode,
     two_mode_drift_diffusion,
 )
-from cvcluster.fock import _step_count, destroy, quadrature_operators
+from cvcluster.fock import destroy, quadrature_operators
 
 
 def vacuum_rho(dim):
@@ -42,12 +42,12 @@ def square_states(cutoff_a, cutoff_d):
     return [(n_a, n_d) for n_a in range(cutoff_a + 1) for n_d in range(cutoff_d + 1)]
 
 
-def reference_rk4(config, states):
-    """Reference: the same RK4 on the whole row-major vec(rho) over the
-    given number states, both parities kept, with the operators built on
-    the square basis and then restricted to the states.  The leakage is the
-    population on the states that a^dag or d^dag maps outside them.
-    Returns (rho on the square basis, leakage, steps, dt)."""
+def reference_generator(config, states):
+    """The generator on the whole row-major vec(rho) over the given number
+    states, both parities kept, with the operators built on the square
+    basis and then restricted to the states.  Returns (generator, square
+    basis indices of the states, indices of the states that a^dag or d^dag
+    maps outside them)."""
     da, dd = config.cutoff_a + 1, config.cutoff_d + 1
     index = np.array([n_a * dd + n_d for n_a, n_d in states])
     retained = set(states)
@@ -70,26 +70,50 @@ def reference_rk4(config, states):
         + gamma * sp.kron(a, a.conj())
         - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a.T))
     ).tocsr()
-    vec = vacuum_rho(n).reshape(-1)
-    n_steps = math.ceil(config.t_final / config.dt)
-    dt = config.t_final / max(n_steps, 1)
+    return lindblad, index, boundary
+
+
+def on_square_basis(config, index, vec):
+    """rho over the retained states, as the Hermitian part of the square-basis matrix."""
+    dim = (config.cutoff_a + 1) * (config.cutoff_d + 1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.ix_(index, index)] = vec.reshape(index.size, index.size)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def reference_expm(config, states):
+    """Reference: the dense propagator scipy.linalg.expm(h L) of the whole
+    generator over the given states, applied over the oracle's intervals
+    (ceil(t_final / 0.25) of equal length h), with the leakage, the
+    population on the states that a^dag or d^dag maps outside them, checked
+    after each.  Returns (rho on the square basis, leakage)."""
+    lindblad, index, boundary = reference_generator(config, states)
+    steps = max(math.ceil(config.t_final / 0.25), 1)
+    propagator = expm((config.t_final / steps) * lindblad.toarray())
+    vec = vacuum_rho(index.size).reshape(-1)
     leakage = 0.0
-    for step in range(1, n_steps + 1):
+    for _ in range(steps):
+        vec = propagator @ vec
+        leakage = float(vec.reshape(index.size, index.size).diagonal().real[boundary].sum())
+        if leakage > config.leakage_guard:
+            raise CutoffTooSmallError("reference reached the truncation boundary", leakage)
+    return on_square_basis(config, index, vec), leakage
+
+
+def reference_rk4(config, states, dt=0.01):
+    """Reference: classic RK4 with equal steps of at most dt on the whole
+    generator over the given states.  Returns rho on the square basis."""
+    lindblad, index, _ = reference_generator(config, states)
+    vec = vacuum_rho(index.size).reshape(-1)
+    n_steps = math.ceil(config.t_final / dt)
+    dt = config.t_final / max(n_steps, 1)
+    for _ in range(n_steps):
         k1 = lindblad @ vec
         k2 = lindblad @ (vec + 0.5 * dt * k1)
         k3 = lindblad @ (vec + 0.5 * dt * k2)
         k4 = lindblad @ (vec + dt * k3)
         vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % 25 == 0 or step == n_steps:
-            rho = vec.reshape(n, n)
-            rho = 0.5 * (rho + rho.conj().T)
-            leakage = float(np.diag(rho).real[boundary].sum())
-            if leakage > config.leakage_guard:
-                raise CutoffTooSmallError("reference reached the truncation boundary", leakage)
-            vec = rho.reshape(-1)
-    rho = np.zeros((da * dd, da * dd), dtype=complex)
-    rho[np.ix_(index, index)] = vec.reshape(n, n)
-    return 0.5 * (rho + rho.conj().T), leakage, n_steps, dt
+    return on_square_basis(config, index, vec)
 
 
 # -------------------------------------------------------- moment extraction
@@ -144,8 +168,6 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=0.5, kappa=1, t_final=1, cutoff_a=3)
     with pytest.raises(InvalidParameterError):
-        FockConfig(beta=1, r=0.5, kappa=1, t_final=1, dt=0.0)
-    with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=1.0, kappa=1, t_final=1)
     with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=0.5, kappa=1, t_final=1, leakage_guard=0.0)
@@ -184,9 +206,9 @@ def test_matches_gaussian_solver():
     assert result.trace_error < 1e-8
 
 
-@pytest.mark.parametrize("t_final", [0.004, 0.126])
+@pytest.mark.parametrize("t_final", [0.004, 0.07, 0.126])
 def test_stage_time_off_the_step_grid(t_final):
-    """Equal steps that end exactly at t_final, even below one nominal dt."""
+    """A stage shorter than one interval takes one step of its own length."""
     beta, r, kappa = 1.0, 0.3, 1.0
     result = integrate_two_mode(
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
@@ -194,15 +216,29 @@ def test_stage_time_off_the_step_grid(t_final):
     gaussian = evolve(
         GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
-    assert result.steps == math.ceil(t_final / 0.01)
+    assert (result.steps, result.dt) == (1, t_final)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
 
 
-def test_stage_time_on_the_step_grid_keeps_nominal_steps():
-    config = FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=4.0, cutoff_a=4, cutoff_d=4)
+@pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
+def test_grid_times_take_nominal_steps(t_final):
+    """t_final / 0.25 is exact, so a grid stage time takes no extra step."""
+    config = FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=t_final, cutoff_a=4, cutoff_d=4)
     result = integrate_two_mode(config)
-    assert result.steps == 400
-    assert result.dt == 0.01
+    assert (result.steps, result.dt) == (round(t_final * 4), 0.25)
+
+
+def test_stage_time_on_the_step_grid_keeps_nominal_steps():
+    """The default stage time takes 16 exact steps of 0.25 and matches evolve."""
+    beta, r, kappa, t_final = 1.0, 0.3, 1.0, 4.0
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=12, cutoff_d=12)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert (result.steps, result.dt) == (16, 0.25)
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
 
 
 def test_density_matrix_stays_hermitian():
@@ -212,48 +248,42 @@ def test_density_matrix_stays_hermitian():
     assert np.abs(result.rho - result.rho.conj().T).max() < 1e-10
 
 
-def test_step_halving_convergence():
-    config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=8, cutoff_d=8, dt=0.02)
-    halved = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=8, cutoff_d=8, dt=0.01)
-    gap = np.abs(integrate_two_mode(config).covariance - integrate_two_mode(halved).covariance)
-    assert gap.max() < 1e-6
-
-
 @pytest.mark.parametrize(
     "beta,r,t_final,cutoff",
     [
         (1.0, 0.3, 0.126, 6),
-        (1.0, 0.2, 2.0, 8),
-        (0.8, 0.2, 1.234, 8),
+        (1.0, 0.1, 2.0, 6),
+        (0.8, 0.15, 1.234, 6),
         (1.2, 0.1, 3.0, 6),
-        pytest.param(1.0, 0.2, 2.0, (6, 10), id="1.0-0.2-2.0-6x10"),
+        pytest.param(1.0, 0.05, 2.0, (4, 6), id="1.0-0.05-2.0-4x6"),
     ],
 )
-def test_parity_sector_matches_full_basis_bit_for_bit(beta, r, t_final, cutoff):
+def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     """Entries coupling different parities of n_a + n_d stay exactly zero,
-    so integrating only the sector gives the result of the whole simplex
-    basis exactly."""
+    so the sector alone, stepped with expm_multiply, gives the dense
+    propagator's result on the whole simplex basis to float64 roundoff."""
     cutoff_a, cutoff_d = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
     config = FockConfig(
         beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff_a, cutoff_d=cutoff_d
     )
     dims = (cutoff_a + 1, cutoff_d + 1)
     states = simplex_states(cutoff_a, cutoff_d)
-    rho, leakage, steps, dt = reference_rk4(config, states)
+    rho, leakage = reference_expm(config, states)
     total = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).reshape(-1)
-    assert np.all(rho[(total[:, None] - total[None, :]) % 2 == 1] == 0)
+    other_parity = (total[:, None] - total[None, :]) % 2 == 1
     outside = np.ones(dims[0] * dims[1], dtype=bool)
     outside[[n_a * dims[1] + n_d for n_a, n_d in states]] = False
-    assert np.all(rho[outside] == 0) and np.all(rho[:, outside] == 0)
     result = integrate_two_mode(config)
+    for computed in (rho, result.rho):
+        assert np.all(computed[other_parity] == 0)
+        assert np.all(computed[outside] == 0) and np.all(computed[:, outside] == 0)
     mean = np.array([np.trace(rho @ x.toarray()).real for x in quadrature_operators(dims)])
-    assert np.array_equal(result.rho, rho)
-    assert np.array_equal(result.covariance, covariance_from_density(rho, dims))
-    assert np.array_equal(result.mean, mean)
-    assert result.trace_error == abs(np.trace(rho).real - 1.0)
-    assert result.leakage == leakage
-    assert result.steps == steps
-    assert result.dt == dt
+    assert np.abs(result.rho - rho).max() <= 1e-12
+    assert np.abs(result.covariance - covariance_from_density(rho, dims)).max() <= 1e-12
+    assert np.abs(result.mean - mean).max() <= 1e-12
+    assert abs(result.leakage - leakage) <= 1e-12
+    steps = math.ceil(t_final / 0.25)
+    assert (result.steps, result.dt) == (steps, t_final / steps)
 
 
 def test_simplex_matches_square_basis():
@@ -261,7 +291,7 @@ def test_simplex_matches_square_basis():
     more than a few times the boundary population."""
     config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=12, cutoff_d=12)
     dims = (13, 13)
-    square, _, _, _ = reference_rk4(config, square_states(12, 12))
+    square = reference_rk4(config, square_states(12, 12))
     result = integrate_two_mode(config)
     assert len(simplex_states(12, 12)) == 91
     assert np.abs(result.covariance - covariance_from_density(square, dims)).max() < 1e-8
@@ -279,31 +309,6 @@ def test_unequal_cutoffs_match_gaussian_solver():
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
 
 
-@pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
-def test_grid_times_take_nominal_steps(t_final):
-    assert _step_count(t_final, 0.01) == round(t_final * 100)
-
-
-def test_quotient_a_few_ulps_past_an_integer_takes_no_extra_step():
-    beta, r, kappa, t_final = 1.0, 0.3, 1.0, 0.07
-    assert t_final / 0.01 > 7  # 7.000000000000001
-    result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
-    )
-    gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
-    )
-    assert result.steps == 7
-    assert result.dt == t_final / 7
-    assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=UnphysicalStateError,
-    reason="RK4 step error at dt 0.01: rho's smallest eigenvalue is -1.95e-9 at every "
-    "cutoff from 8 to 20 and -1.2e-10 at dt 0.005; needs dt chosen from the generator's scale",
-)
 def test_short_stage_density_matrix_is_physical():
     beta, r, kappa, t_final = 1.5, 0.3, 1.0, 0.5
     result = integrate_two_mode(
@@ -313,16 +318,30 @@ def test_short_stage_density_matrix_is_physical():
         GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-6
+    assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
+
+
+def test_strong_coupling_density_matrix_is_physical():
+    """beta near 3 over a 4/kappa stage: rho stays positive to roundoff."""
+    beta, r, kappa, t_final = 2.9302, 0.3343, 1.0, 4.0
+    result = integrate_two_mode(
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=16, cutoff_d=16)
+    )
+    gaussian = evolve(
+        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+    )
+    assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
+    assert np.abs(result.covariance - gaussian.cov).max() < 1e-3
 
 
 def test_leakage_guard_reports_the_full_basis_leakage():
     """The guard reads the boundary population the whole simplex basis has."""
     config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff_a=4, cutoff_d=4)
     with pytest.raises(CutoffTooSmallError) as reference:
-        reference_rk4(config, simplex_states(4, 4))
+        reference_expm(config, simplex_states(4, 4))
     with pytest.raises(CutoffTooSmallError) as err:
         integrate_two_mode(config)
-    assert err.value.leakage == reference.value.leakage
+    assert abs(err.value.leakage - reference.value.leakage) <= 1e-12
 
 
 def test_leakage_guard_aborts_on_small_cutoff():
