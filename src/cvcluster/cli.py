@@ -17,6 +17,7 @@ import argparse
 import datetime
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -69,6 +70,19 @@ class RunConfig:
     oracle_cutoff: int = 20
 
     def validate(self) -> "RunConfig":
+        for field, kind, name in (
+            ("protocol", str, "a string"),
+            ("r", numbers.Real, "a number"),
+            ("beta", numbers.Real, "a number"),
+            ("stage_time", numbers.Real, "a number"),
+            ("method", str, "a string"),
+            ("tol", numbers.Real, "a number"),
+            ("oracle", bool, "a boolean"),
+            ("oracle_cutoff", numbers.Integral, "an integer"),
+        ):
+            value = getattr(self, field)
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ConfigError(f"field {field!r}: must be {name}, got {value!r}")
         if self.protocol not in PROTOCOL_KINDS:
             raise ConfigError(f"field 'protocol': unknown value {self.protocol!r}")
         for field in ("r", "beta", "stage_time", "tol"):
@@ -194,7 +208,7 @@ def _config_from_args(args) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"field 'config': cannot read {args.config}: {exc}") from exc
         # accept either a bare config object or a previous result document
-        base = loaded.get("resolved_config", loaded)
+        base = loaded.get("resolved_config", loaded) if isinstance(loaded, dict) else loaded
         if not isinstance(base, dict):
             raise ConfigError("field 'config': document does not contain a config object")
         unknown = set(base) - set(RunConfig.__dataclass_fields__)
@@ -217,12 +231,10 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError("field 'protocol': required (flag --protocol or config file)")
     tol = args.tol if args.tol is not None else base.get("tol")
     if tol is None:
-        tol = _DEFAULT_TOL.get(merged["method"], 1e-6)
+        # compared, not looked up: a config file's method may be unhashable
+        tol = _DEFAULT_TOL["ode"] if merged["method"] == "ode" else _DEFAULT_TOL["lyapunov"]
     merged["tol"] = tol
-    try:
-        return RunConfig(**merged).validate()
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return RunConfig(**merged).validate()
 
 
 def cmd_run(args) -> int:

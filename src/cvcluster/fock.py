@@ -70,6 +70,9 @@ class FockConfig:
     leakage_guard: float = 1e-6
 
     def __post_init__(self):
+        for name in ("beta", "kappa", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cutoff_a < 4 or self.cutoff_d < 4:
             raise InvalidParameterError("cutoffs must be at least 4")
         if not 0.0 < self.leakage_guard < 1.0:

@@ -146,9 +146,9 @@ class DriftDiffusion:
 class GaussianState:
     """Gaussian state given by quadrature means and covariances.
 
-    The covariance matrix is symmetrised on construction and checked
-    against the uncertainty relation (all symplectic eigenvalues at
-    least 1/2 up to UNCERTAINTY_TOL).
+    The covariance matrix is symmetrised on construction and checked by
+    ``symplectic_eigenvalues`` against the uncertainty relation (all
+    symplectic eigenvalues at least 1/2 up to UNCERTAINTY_TOL).
     """
 
     mode_labels: tuple[str, ...]
@@ -167,11 +167,7 @@ class GaussianState:
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidParameterError("mean and cov must be finite")
         cov = 0.5 * (cov + cov.T)
-        nu_min = _symplectic_spectrum(cov).min()
-        if nu_min < VACUUM_VARIANCE - UNCERTAINTY_TOL:
-            raise UnphysicalStateError(
-                f"covariance violates the uncertainty relation (min symplectic eigenvalue {nu_min!r})"
-            )
+        symplectic_eigenvalues(cov)
         object.__setattr__(self, "mode_labels", labels)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
@@ -309,13 +305,6 @@ def apply_mode_transform(state: GaussianState, u: np.ndarray, new_labels=None) -
     return GaussianState(labels, s @ state.mean, s @ state.cov @ s.T)
 
 
-def _symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
-    """Raw symplectic eigenvalues (pair-averaged, ascending), no validation."""
-    n = cov.shape[0] // 2
-    mods = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)))
-    return 0.5 * (mods[0::2] + mods[1::2])
-
-
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a physical covariance matrix, ascending.
 
@@ -325,7 +314,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if not np.isfinite(cov).all():
         raise InvalidParameterError("covariance must be finite")
-    nu = _symplectic_spectrum(0.5 * (cov + cov.T))
+    cov = 0.5 * (cov + cov.T)
+    mods = np.sort(np.abs(np.linalg.eigvals(symplectic_form(cov.shape[0] // 2) @ cov)))
+    nu = 0.5 * (mods[0::2] + mods[1::2])
     if nu.min() < VACUUM_VARIANCE - UNCERTAINTY_TOL:
         raise UnphysicalStateError(
             f"covariance violates the uncertainty relation (min symplectic eigenvalue {nu.min()!r})"

@@ -40,6 +40,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 DISPERSIVE_RATIO_THRESHOLD = 100.0
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Operating point of the cavity-ensemble system.
@@ -59,6 +64,8 @@ class PhysicalParams:
     r: float
 
     def __post_init__(self):
+        for name in ("g", "delta", "n_atoms", "kappa", "omega", "r"):
+            _require_finite(name, getattr(self, name))
         for name in ("g", "delta", "kappa", "omega"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
@@ -70,6 +77,7 @@ class PhysicalParams:
     @classmethod
     def from_ratios(cls, beta: float, r: float, kappa: float = 1.0) -> "PhysicalParams":
         """Dimensionless operating point with the given beta/kappa and r."""
+        _require_finite("beta", beta)
         if beta <= 0:
             raise InvalidParameterError(f"beta must be positive, got {beta}")
         return cls(g=1.0, delta=1.0, n_atoms=1, kappa=kappa, omega=beta, r=r)
@@ -111,12 +119,15 @@ class PulseStage:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (4,):
                 raise InvalidParameterError(f"{name} must be a 4-vector, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidParameterError(f"{name} must be finite, got {arr.tolist()}")
             if name.startswith("omega") and (arr < 0).any():
                 raise InvalidParameterError(f"{name} must be nonnegative")
             if name.startswith("phi"):
                 arr = np.mod(arr, TWO_PI)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        _require_finite("duration", self.duration)
         if self.duration <= 0:
             raise InvalidParameterError(f"duration must be positive, got {self.duration}")
 

@@ -181,10 +181,6 @@ class CouplingReport:
     squeezing: np.ndarray
     target: int | None
 
-    @property
-    def is_single_target(self) -> bool:
-        return self.target is not None
-
 
 def transformed_coupling(
     stage: PulseStage, transform: ModeTransform, params: PhysicalParams
@@ -237,15 +233,10 @@ class Protocol:
         if len(set(targets)) != 4:
             raise InvalidParameterError(f"stages must target distinct combined modes, got {targets}")
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "_targets", tuple(targets))
 
     @property
     def kind(self) -> str:
         return self.transform.name
-
-    @property
-    def target_modes(self) -> tuple[int, ...]:
-        return self._targets
 
 
 def builtin_protocol(
@@ -293,14 +284,28 @@ class ProtocolRun:
         return self.final_state.marginal(MODE_LABELS[1:])
 
 
+def _stage_coupling(
+    stage: PulseStage, transform: ModeTransform, params: PhysicalParams
+) -> tuple[int, complex, complex]:
+    """Target mode of a protocol stage and its couplings (bs, sq) under ``params``.
+
+    ``Protocol`` guarantees a single target, and ``params`` only rescales
+    every coupling by the positive ``hamiltonian_prefactor``, so the target
+    found at construction is the target here.
+    """
+    report = transformed_coupling(stage, transform, params)
+    target = report.target
+    return target, complex(report.beam_splitter[target]), complex(report.squeezing[target])
+
+
 def _stage_convergence(bs: complex, sq: complex, kappa: float) -> ConvergenceInfo:
     """Relaxation spectrum of a stage whose target couplings are (bs, sq).
 
     The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|;
-    requires |sq| < |bs| unless bs = 0 (no beam-splitter drive).
+    requires |sq| < |bs|.
     """
     beta = abs(bs)
-    return convergence_eigenvalues(beta, abs(sq) / beta if beta > 0 else 0.0, kappa)
+    return convergence_eigenvalues(beta, abs(sq) / beta, kappa)
 
 
 def run_protocol(
@@ -317,9 +322,13 @@ def run_protocol(
     full five-mode moment equations for ``stage_time`` per stage (default:
     each stage's own duration).
 
-    Raises NonHurwitzError naming the stage when a stage cannot relax;
-    collects slow-regime warnings for every stage that is not underdamped
-    (beta_eff sqrt(1 - r_eff^2) <= kappa/2, or |sq| >= |bs|: no steady state).
+    Each stage validates exactly one state, the new five-mode state (on
+    construction, or inside ``evolve``); its diagnostics read that state's
+    arrays without building marginals.  Raises NonHurwitzError naming the
+    stage when a stage cannot relax, and UnphysicalStateError when a stage
+    leaves an unphysical state; collects slow-regime warnings for every
+    stage that is not underdamped (beta_eff sqrt(1 - r_eff^2) <= kappa/2,
+    or |sq| >= |bs|: no steady state).
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -329,15 +338,7 @@ def run_protocol(
     traces: list[StageTrace] = []
     warnings: list[str] = []
     for k, stage in enumerate(protocol.stages):
-        report = transformed_coupling(stage, protocol.transform, params)
-        target = report.target
-        if target is None:
-            raise NonHurwitzError(
-                f"stage {k + 1} drives no single combined mode and cannot prepare a steady state",
-                0.0,
-            )
-        bs = complex(report.beam_splitter[target])
-        sq = complex(report.squeezing[target])
+        target, bs, sq = _stage_coupling(stage, protocol.transform, params)
         slow = abs(sq) >= abs(bs) or _stage_convergence(bs, sq, kappa).regime != "underdamped"
         if slow:
             warnings.append(
@@ -368,7 +369,6 @@ def run_protocol(
                 build_effective_hamiltonian(stage, params), cavity_damping(kappa, 5)
             )
             state = evolve(state, dd, duration)
-        ensembles = state.marginal(MODE_LABELS[1:])
         traces.append(
             StageTrace(
                 index=k + 1,
@@ -377,7 +377,7 @@ def run_protocol(
                 squeezing=sq,
                 slow_regime=slow,
                 nullifier_variances=nullifier_variances(state, protocol.graph),
-                ensemble_purity=purity(ensembles.cov),
+                ensemble_purity=purity(state.cov[2:, 2:]),
                 cavity_cross_norm=float(np.abs(state.cov[:2, 2:]).max()),
             )
         )
@@ -387,16 +387,15 @@ def run_protocol(
 def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     """Convergence info of every stage (analytic eigenvalues and time scale).
 
-    Raises NonHurwitzError naming the stage, as ``run_protocol`` does, when
-    a stage squeezes at least as strongly as it swaps (|sq| >= |bs|, sq != 0):
-    its reduced pair has no steady state.
+    Each stage's target couplings come from one ``transformed_coupling``
+    call, as in ``run_protocol``.  Raises NonHurwitzError naming the stage,
+    as ``run_protocol`` does, when a stage squeezes at least as strongly as
+    it swaps (|sq| >= |bs|): its reduced pair has no steady state.
     """
     infos = []
     for k, stage in enumerate(protocol.stages):
-        report = transformed_coupling(stage, protocol.transform, params)
-        bs = report.beam_splitter[report.target] if report.target is not None else 0.0
-        sq = report.squeezing[report.target] if report.target is not None else 0.0
-        if abs(sq) >= abs(bs) and sq != 0:
+        _, bs, sq = _stage_coupling(stage, protocol.transform, params)
+        if abs(sq) >= abs(bs):
             eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, params.kappa).A)
             raise NonHurwitzError(
                 f"stage {k + 1} has no steady state", eigvals[np.argmax(eigvals.real)]

@@ -80,28 +80,25 @@ def nullifier_labels(graph: ClusterGraph) -> list[str]:
     return out
 
 
-def _ensemble_state(state: GaussianState, graph: ClusterGraph) -> GaussianState:
-    if "cavity" in state.mode_labels:
-        state = state.marginal([lbl for lbl in state.mode_labels if lbl != "cavity"])
-    if state.n_modes != graph.n_nodes:
-        raise InvalidParameterError(
-            f"state has {state.n_modes} non-cavity modes, graph needs {graph.n_nodes}"
-        )
-    return state
-
-
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> np.ndarray:
     """Second moment <n_a^2> of every nullifier (variance plus mean squared).
 
-    The cavity mode, when present, is marginalised out first.  For the
-    zero-mean states produced by the protocols this is exactly the
-    variance w^T sigma w.
+    Reads the quadratures of the non-cavity modes straight from the state's
+    mean and covariance, so the cavity, wherever it sits, is traced out
+    without building the marginal state.  For the zero-mean states produced
+    by the protocols this is exactly the variance w^T sigma w.
     """
-    state = _ensemble_state(state, graph)
+    idx = [i for i in range(2 * state.n_modes) if state.mode_labels[i // 2] != "cavity"]
+    if len(idx) != 2 * graph.n_nodes:
+        raise InvalidParameterError(
+            f"state has {len(idx) // 2} non-cavity modes, graph needs {graph.n_nodes}"
+        )
+    cov = state.cov[np.ix_(idx, idx)]
+    mean = state.mean[idx]
     out = np.empty(graph.n_nodes)
     for a in range(graph.n_nodes):
         w = nullifier_coefficients(graph, a)
-        out[a] = w @ state.cov @ w + (w @ state.mean) ** 2
+        out[a] = w @ cov @ w + (w @ mean) ** 2
     return out
 
 

@@ -95,6 +95,45 @@ def test_run_config_errors():
     assert run_cli("run", "--protocol", "linear", "--beta", "-1") == 2
 
 
+NOT_A_CONFIG = "field 'config': document does not contain a config object"
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        pytest.param([1, 2], NOT_A_CONFIG, id="list"),
+        pytest.param('"linear"', NOT_A_CONFIG, id="string"),
+        pytest.param({"protocol": ["linear"]}, "field 'protocol': must be a string", id="protocol"),
+        pytest.param({"method": [1]}, "field 'method': must be a string", id="method"),
+        pytest.param({"r": "0.5"}, "field 'r': must be a number", id="r"),
+        pytest.param({"beta": True}, "field 'beta': must be a number", id="beta"),
+        pytest.param({"stage_time": False}, "field 'stage_time': must be a number", id="stage_time"),
+        pytest.param({"tol": "1e-6"}, "field 'tol': must be a number", id="tol"),
+        pytest.param({"oracle": "no"}, "field 'oracle': must be a boolean", id="oracle-str"),
+        pytest.param({"oracle": 1}, "field 'oracle': must be a boolean", id="oracle-int"),
+        pytest.param(
+            {"oracle": True, "oracle_cutoff": 6.5, "stage_time": 0.5},
+            "field 'oracle_cutoff': must be an integer",
+            id="oracle_cutoff-float",
+        ),
+        pytest.param(
+            {"oracle_cutoff": True}, "field 'oracle_cutoff': must be an integer", id="oracle_cutoff-bool"
+        ),
+    ],
+)
+def test_config_file_value_types_are_checked(tmp_path, capsys, document, message):
+    if isinstance(document, dict):
+        document = json.dumps({"protocol": "linear", **document})
+    elif not isinstance(document, str):
+        document = json.dumps(document)
+    config = tmp_path / "config.json"
+    config.write_text(document)
+    out = tmp_path / "x.json"
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

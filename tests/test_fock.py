@@ -173,6 +173,14 @@ def test_config_validation():
         FockConfig(beta=1, r=0.5, kappa=1, t_final=1, leakage_guard=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["beta", "kappa", "t_final"])
+def test_config_rejects_non_finite_numbers(field, value):
+    fields = {"beta": 1.0, "r": 0.5, "kappa": 1.0, "t_final": 1.0, field: value}
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        FockConfig(**fields)
+
+
 def test_no_squeezing_stays_vacuum():
     result = integrate_two_mode(
         FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=6.0, cutoff_a=8, cutoff_d=8)

@@ -56,6 +56,24 @@ def test_params_validation():
     PhysicalParams(g=1, delta=1, n_atoms=1, kappa=1, omega=1, r=0.0)
 
 
+PARAMS = {"g": 1.0, "delta": 1.0, "n_atoms": 1, "kappa": 1.0, "omega": 2.5, "r": 0.5}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(PARAMS))
+def test_params_reject_non_finite_numbers(field, value):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        PhysicalParams(**{**PARAMS, field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_from_ratios_rejects_non_finite_numbers(value):
+    with pytest.raises(InvalidParameterError, match="beta must be finite"):
+        PhysicalParams.from_ratios(value, 0.5)
+    with pytest.raises(InvalidParameterError, match="kappa must be finite"):
+        PhysicalParams.from_ratios(2.5, 0.5, kappa=value)
+
+
 def test_from_ratios_reproduces_beta():
     params = PhysicalParams.from_ratios(2.5, 0.5)
     assert abs(params.beta - 2.5) < 1e-15
@@ -76,6 +94,16 @@ def test_pulse_stage_validation():
         stage([-1, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4)
     with pytest.raises(InvalidParameterError):
         stage([0] * 4, [0] * 4, [0] * 4, [0] * 4, duration=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["omega_u", "omega_s", "phi_u", "phi_s", "duration"])
+def test_pulse_stage_rejects_non_finite_numbers(field, value):
+    fields = {"omega_u": [1, 0, 0, 0], "omega_s": [0.5, 0, 0, 0], "phi_u": [0, 0, 0, 0],
+              "phi_s": [0, 0, 0, 0], "duration": 4.0}
+    fields[field] = value if field == "duration" else [0, value, 0, 0]
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        stage(**fields)
 
 
 # --------------------------------------------------------- effective couplings

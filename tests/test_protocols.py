@@ -222,6 +222,29 @@ def test_per_stage_trace_is_recorded():
         assert 0.0 < t.ensemble_purity <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("method", ["lyapunov_sequential", "time_domain"])
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_stage_purity_reads_the_ensemble_block(kind, method):
+    """A stage's purity is that of the ensemble state, read without building it."""
+    params = PhysicalParams.from_ratios(1.7, 0.6)
+    run = run_protocol(builtin_protocol(kind, params), params, method=method)
+    assert run.stages[-1].ensemble_purity == purity(run.ensemble_state.cov)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_targets_survive_any_hamiltonian_prefactor(kind):
+    """Physical parameters rescale every coupling by one positive factor, so each
+    stage keeps the target it had when its protocol was built."""
+    params = PhysicalParams(g=3.0, delta=0.7, n_atoms=5, kappa=1.0, omega=0.4, r=0.5)
+    assert params.hamiltonian_prefactor != 0.5
+    protocol = builtin_protocol(kind, params)
+    unit = PhysicalParams.from_ratios(1.0, 0.0)
+    for k, stage in enumerate(protocol.stages):
+        assert transformed_coupling(stage, protocol.transform, unit).target == k
+        assert transformed_coupling(stage, protocol.transform, params).target == k
+    assert [t.target_mode for t in run_protocol(protocol, params).stages] == [0, 1, 2, 3]
+
+
 def test_squeeze_only_stage_is_rejected_as_unstable():
     """A stage driving only the squeezing channel amplifies without bound."""
     params = PhysicalParams.from_ratios(1.0, 0.5)

@@ -96,6 +96,29 @@ def test_cavity_is_marginalised_out():
     )
 
 
+def test_cavity_anywhere_is_traced_out():
+    """Nullifiers read the non-cavity quadratures in place: the same numbers as
+    the formula applied to the marginal, wherever the cavity sits."""
+    from cvcluster import QuadraticHamiltonian, drift_diffusion, evolve
+
+    rng = np.random.default_rng(7)
+    labels = ("e1", "cavity", "e2", "e3", "e4")
+    f = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    dd = drift_diffusion(QuadraticHamiltonian(f + f.conj().T, g + g.T), rng.uniform(0.1, 2.0, 5))
+    start = GaussianState(labels, rng.normal(size=10), 0.5 * np.eye(10))
+    state = evolve(start, dd, 0.7)
+    assert np.abs(state.mean).min() > 0 and np.abs(state.cov - 0.5 * np.eye(10)).max() > 0.1
+    marginal = state.marginal(("e1", "e2", "e3", "e4"))
+    for kind in KINDS:
+        graph = builtin_graph(kind)
+        expected = [
+            w @ marginal.cov @ w + (w @ marginal.mean) ** 2
+            for w in (nullifier_coefficients(graph, a) for a in range(4))
+        ]
+        assert nullifier_variances(state, graph).tolist() == expected
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(InvalidParameterError):
         nullifier_variances(GaussianState.vacuum(("a", "b", "c")), builtin_graph("linear"))
