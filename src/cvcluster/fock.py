@@ -31,6 +31,19 @@ ket and bra together, so the generator never couples an entry inside the
 sector to one outside it (a weak symmetry of the Lindblad generator).  The
 vacuum lies in the sector, so every entry outside it stays exactly zero,
 and the sector alone is the same computation with the zeros left out.
+
+The sector is integrated in real arithmetic, on one triangle.  This rests
+on real couplings: beta, r and kappa are real numbers, and the vacuum
+start is real.  In the gauge rho' = G^dag rho G with G = diag(i^{n_d}),
+d -> i d and a -> a, so -i [h, rho] -> beta [K, rho'] with
+
+    K = a^dag d - r a^dag d^dag - d^dag a + r a d,
+
+which is real and antisymmetric, and the dissipator 2 kappa (a rho' a^T -
+1/2 {a^dag a, rho'}) is real as well.  The gauged generator is real and
+commutes with transposition, so rho' stays real and symmetric, and its
+upper triangle carries the whole state.  The full complex rho = G rho' G^dag
+is rebuilt once, after the last step.
 """
 
 from __future__ import annotations
@@ -53,10 +66,10 @@ class FockConfig:
     """Truncated-basis integration settings.
 
     ``cutoff_a`` / ``cutoff_d`` are the largest retained photon numbers of
-    each mode, reached when the other mode is empty: the basis keeps the
-    states with n_a / cutoff_a + n_d / cutoff_d <= 1.  ``leakage_guard``
-    bounds the population allowed on the boundary of that simplex before
-    the run aborts.  There is no time-step setting: the propagator is
+    each mode, integers, reached when the other mode is empty: the basis
+    keeps the states with n_a / cutoff_a + n_d / cutoff_d <= 1.
+    ``leakage_guard`` bounds the population allowed on the boundary of that
+    simplex before the run aborts.  There is no time-step setting: the propagator is
     exact, and the guard is checked after each of ceil(t_final / 0.25)
     equal intervals.
     """
@@ -73,6 +86,10 @@ class FockConfig:
         for name in ("beta", "kappa", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("cutoff_a", "cutoff_d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.cutoff_a < 4 or self.cutoff_d < 4:
             raise InvalidParameterError("cutoffs must be at least 4")
         if not 0.0 < self.leakage_guard < 1.0:
@@ -87,7 +104,7 @@ class FockConfig:
 
 def destroy(dim: int) -> sp.csr_matrix:
     """Annihilation operator on a dim-dimensional number basis."""
-    return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr").astype(complex)
+    return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
 
 
 def quadrature_operators(dims) -> list[sp.csr_matrix]:
@@ -165,45 +182,62 @@ def _simplex(cutoff_a: int, cutoff_d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Generator on the parity sector of row-major vec(rho), and the sector.
+    """Real generator on the upper triangle of the gauged rho, and that triangle.
 
-    rho lives on the retained states ``basis`` (see ``_simplex``): ``a``,
-    ``h`` and ``a^dag a`` are built on the square basis and restricted to
-    them, which drops the transitions out of the simplex.  ``keep`` holds the ascending flat
-    indices i * n + j of the n x n restricted rho whose ket i and bra j
-    have the same parity of n_a + n_d.  Each superoperator term is
-    restricted to ``[keep][:, keep]`` before the terms are summed: every
-    term maps the sector into itself, so each row keeps the values and the
-    column order of the whole-basis generator's row, and a matvec does the
-    same floating-point sums as on the whole vector.
+    The gauge rests on real couplings: beta, r and kappa are real, and the
+    vacuum start is real.  With G = diag(i^{n_d}) and rho' = G^dag rho G,
+    G^dag d G = i d and G^dag a G = a, so -i [h, rho] becomes beta [K, rho']
+    with
+
+        K = a^dag d - r a^dag d^dag - d^dag a + r a d,
+
+    real and antisymmetric, while the dissipator 2 kappa (a rho' a^T -
+    1/2 {a^dag a, rho'}) stays real.  The generator of rho' is therefore real
+    and maps symmetric matrices to symmetric ones, so rho' stays real and
+    symmetric from the vacuum on, and only its upper triangle is integrated.
+
+    rho' lives on the retained states ``basis`` (see ``_simplex``): ``K``,
+    ``a`` and ``a^dag a`` are built on the square basis and restricted to
+    them, which drops the transitions out of the simplex.  The generator
+    acts on the parity sector of row-major vec(rho'), the entries whose
+    ket and bra have the same parity of n_a + n_d, and on its upper half:
+    ``upper`` holds the ascending flat indices i * n + j, i <= j, of those
+    entries of the n x n restricted rho'.  Each row is the whole-basis
+    generator's row with the columns of (i, j) and (j, i) summed into one.
     """
     da, dd = config.cutoff_a + 1, config.cutoff_d + 1
 
     def restrict(op):
         return op.tocsr()[basis][:, basis]
 
-    a = sp.kron(destroy(da), sp.identity(dd, format="csr", dtype=complex), format="csr")
-    d = sp.kron(sp.identity(da, format="csr", dtype=complex), destroy(dd), format="csr")
-    h = config.beta * (a.conj().T @ d + config.r * (a.conj().T @ d.conj().T))
-    h = restrict(h + h.conj().T)
-    number_a = restrict(a.conj().T @ a)
+    a = sp.kron(destroy(da), sp.identity(dd), format="csr")
+    d = sp.kron(sp.identity(da), destroy(dd), format="csr")
+    k = a.T @ d - config.r * (a.T @ d.T)
+    k = restrict(k - k.T)
+    number_a = restrict(a.T @ a)
     a = restrict(a)
     gamma = 2.0 * config.kappa
-    eye = sp.identity(basis.size, format="csr", dtype=complex)
+    n = basis.size
+    eye = sp.identity(n, format="csr")
+    # vec(A rho B) = (A kron B^T) vec(rho) in row-major vectorisation, K^T = -K
+    lindblad = (
+        config.beta * (sp.kron(k, eye) + sp.kron(eye, k))
+        + gamma * sp.kron(a, a)
+        - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a))
+    )
     n_a, n_d = np.divmod(basis, dd)
     parity = (n_a + n_d) % 2
-    keep = np.flatnonzero(parity[:, None] == parity[None, :])
-
-    def sector(term):
-        return term.tocsr()[keep][:, keep]
-
-    # vec(A rho B) = (A kron B^T) vec(rho) in row-major vectorisation
-    lindblad = (
-        -1j * (sector(sp.kron(h, eye)) - sector(sp.kron(eye, h.T)))
-        + gamma * sector(sp.kron(a, a.conj()))
-        - 0.5 * gamma * (sector(sp.kron(number_a, eye)) + sector(sp.kron(eye, number_a.T)))
+    rows, cols = np.nonzero(np.triu(parity[:, None] == parity[None, :]))
+    upper = rows * n + cols
+    strict = np.flatnonzero(rows < cols)
+    mirror = cols[strict] * n + rows[strict]
+    # vec(rho') = fold @ upper half: entry k fills (i, j) and, off the diagonal, (j, i)
+    fold = sp.csr_matrix(
+        (np.ones(upper.size + strict.size),
+         (np.r_[upper, mirror], np.r_[np.arange(upper.size), strict])),
+        shape=(n * n, upper.size),
     )
-    return lindblad.tocsr(), keep
+    return (lindblad.tocsr()[upper] @ fold).tocsr(), upper
 
 
 @dataclass(frozen=True)
@@ -226,44 +260,50 @@ class FockResult:
 def integrate_two_mode(config: FockConfig) -> FockResult:
     """Evolve the two-mode vacuum under the damped coupled-mode dynamics.
 
-    Applies the exact propagator exp(h L) of the generator L on the parity
-    sector of the vectorised density matrix over the excitation-number
-    simplex, ceil(t_final / 0.25) times with h = t_final / that count, and
-    checks the leakage guard after each interval.  Each product is
-    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and Higham, SIAM J.
-    Sci. Comput. 33 (2011) 488), accurate to float64 roundoff, so the
+    Applies the exact propagator exp(h L) of the real generator L on the
+    upper triangle of the gauged parity sector of the vectorised density
+    matrix over the excitation-number simplex (see ``_liouvillian``),
+    ceil(t_final / 0.25) times with h = t_final / that count, and checks
+    the leakage guard, read on the real diagonal, after each interval.
+    Each product is ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33 (2011) 488), accurate to float64 roundoff, so the
     result carries truncation error only.  Aborts with CutoffTooSmallError
     when the boundary of the simplex accumulates more population than
     ``leakage_guard``.  ``rho`` is the full (cutoff_a + 1)(cutoff_d + 1)
-    square density matrix, zero outside the sector and the simplex.
+    square complex density matrix G rho' G^dag, zero outside the sector and
+    the simplex.
     """
     from scipy.sparse.linalg import expm_multiply
 
     basis, boundary = _simplex(config.cutoff_a, config.cutoff_d)
-    lindblad, keep = _liouvillian(config, basis)
+    generator, upper = _liouvillian(config, basis)
     n = basis.size
-    on_boundary = np.searchsorted(keep, np.flatnonzero(boundary) * (n + 1))
-    vec = np.zeros(keep.size, dtype=complex)
-    vec[0] = 1.0  # keep[0] = 0 is |0, 0><0, 0|
+    on_boundary = np.searchsorted(upper, np.flatnonzero(boundary) * (n + 1))
+    vec = np.zeros(upper.size)
+    vec[0] = 1.0  # upper[0] = 0 is |0, 0><0, 0|
     n_steps = math.ceil(config.t_final / _INTERVAL)
     dt = config.t_final / max(n_steps, 1)
-    lindblad.data *= dt
+    generator.data *= dt
     leakage = 0.0
     for step in range(1, n_steps + 1):
-        vec = expm_multiply(lindblad, vec)
-        leakage = float(vec[on_boundary].real.sum())
+        vec = expm_multiply(generator, vec)
+        leakage = float(vec[on_boundary].sum())
         if leakage > config.leakage_guard:
             raise CutoffTooSmallError(
                 f"population reached the truncation boundary at t = {step * dt:.4g}; "
                 "increase cutoff_a / cutoff_d",
                 leakage,
             )
-    rho_basis = np.zeros(n * n, dtype=complex)
-    rho_basis[keep] = vec
+    rows, cols = np.divmod(upper, n)
+    gauged = np.zeros((n, n))
+    gauged[rows, cols] = vec
+    gauged[cols, rows] = vec
+    # rho = G rho' G^dag: entry (i, j) picks up i^{n_d(i) - n_d(j)}, exactly
+    n_d = basis % (config.cutoff_d + 1)
+    phase = np.array([1, 1j, -1, -1j])[(n_d[:, None] - n_d[None, :]) % 4]
     dims = (config.cutoff_a + 1, config.cutoff_d + 1)
     rho = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-    rho[np.ix_(basis, basis)] = rho_basis.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho[np.ix_(basis, basis)] = phase * gauged
     trace_error = abs(np.trace(rho).real - 1.0)
     mean, cov = _moments(rho, dims)
     return FockResult(

@@ -73,6 +73,9 @@ class PhysicalParams:
             raise InvalidParameterError(f"n_atoms must be at least 1, got {self.n_atoms}")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
+        # finite inputs can still overflow the derived coupling scales
+        for name in ("beta", "hamiltonian_prefactor"):
+            _require_finite(name, getattr(self, name))
 
     @classmethod
     def from_ratios(cls, beta: float, r: float, kappa: float = 1.0) -> "PhysicalParams":

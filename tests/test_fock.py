@@ -19,7 +19,7 @@ from cvcluster import (
     integrate_two_mode,
     two_mode_drift_diffusion,
 )
-from cvcluster.fock import destroy, quadrature_operators
+from cvcluster.fock import _liouvillian, _simplex, destroy, quadrature_operators
 
 
 def vacuum_rho(dim):
@@ -74,11 +74,11 @@ def reference_generator(config, states):
 
 
 def on_square_basis(config, index, vec):
-    """rho over the retained states, as the Hermitian part of the square-basis matrix."""
+    """rho over the retained states, as the square-basis matrix, not symmetrised."""
     dim = (config.cutoff_a + 1) * (config.cutoff_d + 1)
     rho = np.zeros((dim, dim), dtype=complex)
     rho[np.ix_(index, index)] = vec.reshape(index.size, index.size)
-    return 0.5 * (rho + rho.conj().T)
+    return rho
 
 
 def reference_expm(config, states):
@@ -171,6 +171,18 @@ def test_config_validation():
         FockConfig(beta=1, r=1.0, kappa=1, t_final=1)
     with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=0.5, kappa=1, t_final=1, leakage_guard=0.0)
+
+
+@pytest.mark.parametrize("value", [6.5, 6.0, True, "6", None])
+@pytest.mark.parametrize("field", ["cutoff_a", "cutoff_d"])
+def test_config_rejects_non_integer_cutoffs(field, value):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+        FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, **{field: value})
+
+
+def test_config_accepts_numpy_integer_cutoffs():
+    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff_a=np.int64(6))
+    assert integrate_two_mode(config).rho.shape == (147, 147)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -292,6 +304,37 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     assert abs(result.leakage - leakage) <= 1e-12
     steps = math.ceil(t_final / 0.25)
     assert (result.steps, result.dt) == (steps, t_final / steps)
+
+
+@pytest.mark.parametrize(
+    "beta,r,t_final,cutoff",
+    [(1.0, 0.1, 2.0, (6, 6)), (1.0, 0.05, 2.0, (4, 6))],
+)
+def test_reference_is_real_and_symmetric_in_the_gauge(beta, r, t_final, cutoff):
+    """With G = diag(i^{n_d}), the complex reference's G^dag rho G is real
+    and symmetric: the symmetry that lets the oracle integrate the real
+    upper triangle of the gauged rho alone."""
+    cutoff_a, cutoff_d = cutoff
+    config = FockConfig(
+        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff_a, cutoff_d=cutoff_d
+    )
+    rho, _ = reference_expm(config, simplex_states(cutoff_a, cutoff_d))
+    n_d = np.arange((cutoff_a + 1) * (cutoff_d + 1)) % (cutoff_d + 1)
+    gauge = np.array([1, 1j, -1, -1j])[n_d % 4]
+    gauged = gauge.conj()[:, None] * rho * gauge[None, :]
+    assert np.abs(gauged.imag).max() <= 1e-15
+    assert np.abs(gauged - gauged.T).max() <= 1e-15
+
+
+def test_generator_is_real_on_the_upper_triangle():
+    """At cutoff 20 the generator acts on the 13,486 upper-triangle entries
+    of the gauged parity sector (of 26,741 in the sector), in float64."""
+    config = FockConfig(beta=1.5, r=0.3, kappa=1.0, t_final=4.0)
+    basis, _ = _simplex(20, 20)
+    generator, upper = _liouvillian(config, basis)
+    assert generator.dtype == np.float64
+    assert generator.shape == (13_486, 13_486) and upper.size == 13_486
+    assert generator.nnz == 117_140
 
 
 def test_simplex_matches_square_basis():

@@ -74,6 +74,20 @@ def test_from_ratios_rejects_non_finite_numbers(value):
         PhysicalParams.from_ratios(2.5, 0.5, kappa=value)
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"g": 1e200, "delta": 1e-200, "omega": 1e-300}, "hamiltonian_prefactor"),
+        ({"g": 1e200, "delta": 1.0, "omega": 1e200}, "beta"),
+    ],
+)
+def test_params_reject_overflowing_coupling_scales(fields, name):
+    """Finite inputs whose derived coupling scale overflows are rejected,
+    rather than reaching run_protocol as inf couplings."""
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        PhysicalParams(**{**PARAMS, **fields})
+
+
 def test_from_ratios_reproduces_beta():
     params = PhysicalParams.from_ratios(2.5, 0.5)
     assert abs(params.beta - 2.5) < 1e-15
