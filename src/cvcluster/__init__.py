@@ -5,6 +5,9 @@ to a damped ring-cavity mode, the pulse protocols that squeeze the combined
 modes one stage at a time, nullifier-variance verification of the resulting
 linear, square and T-shape cluster states, and an independent truncated
 number-basis oracle for the reduced two-mode dynamics.
+
+The oracle's names load ``cvcluster.fock``, and with it scipy, on first
+use, so ``import cvcluster`` needs numpy alone.
 """
 
 from .errors import (
@@ -15,7 +18,6 @@ from .errors import (
     SimulationError,
     UnphysicalStateError,
 )
-from .fock import FockConfig, FockResult, covariance_from_density, integrate_two_mode
 from .gaussian import (
     DriftDiffusion,
     GaussianState,
@@ -81,6 +83,17 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+_FOCK_NAMES = ("FockConfig", "FockResult", "covariance_from_density", "integrate_two_mode")
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CutoffTooSmallError",

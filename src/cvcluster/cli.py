@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, SimulationError
-from .fock import FockConfig, integrate_two_mode
 from .gaussian import GaussianState, evolve, purity, symplectic_eigenvalues
 from .model import (
     PhysicalParams,
@@ -172,7 +171,10 @@ def _run_once(config: RunConfig) -> tuple[dict, bool]:
 
 def _oracle_section(config: RunConfig) -> dict:
     """Cross-check the reduced cavity + target-mode model against the
-    number-basis integrator at the configured beta, r and stage time."""
+    number-basis integrator at the configured beta, r and stage time.
+    Imported here because ``fock`` loads scipy, which no other path needs."""
+    from .fock import FockConfig, integrate_two_mode
+
     fock = integrate_two_mode(
         FockConfig(
             beta=config.beta,

@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cvcluster.cli
+import cvcluster.fock
 from cvcluster import UnphysicalStateError
 from cvcluster.cli import main
+from cvcluster.gaussian import symplectic_eigenvalues
 from cvcluster.protocols import PROTOCOL_KINDS
 
 TIMESTAMP_KEY = '"timestamp"'
@@ -186,23 +188,38 @@ def test_run_oracle_leakage_is_physics_error(tmp_path):
     assert code == 3
 
 
-def test_unphysical_state_is_physics_error(tmp_path, capsys):
-    # strong squeezing over a long stage: the final covariance misses the
-    # uncertainty bound by 3e-9, past the 1e-9 tolerance
+def test_long_strongly_squeezed_stage_stays_physical(tmp_path):
+    # strong squeezing over a long stage: once the propagator lost digits
+    # here and missed the uncertainty bound by 3e-9 (exit 3); squaring the
+    # pair (Phi, Q) keeps the final state physical to round-off
+    out = tmp_path / "x.json"
     code = run_cli(
         "run", "--protocol", "tshape", "--beta", "10.706661369723824",
         "--r", "0.8960235229181228", "--stage-time", "15.398318506640937",
-        "--method", "ode", "--out", str(tmp_path / "x.json"),
+        "--method", "ode", "--out", str(out),
     )
+    assert code == 0
+    cov = np.array(load(out)["final"]["covariance_row_major"]).reshape(10, 10)
+    assert symplectic_eigenvalues(cov).min() - 0.5 >= -1e-12
+
+
+def test_unphysical_state_is_physics_error(tmp_path, capsys, monkeypatch):
+    def unphysical(*args, **kwargs):
+        raise UnphysicalStateError("covariance violates the uncertainty relation")
+
+    monkeypatch.setattr(cvcluster.cli, "run_protocol", unphysical)
+    code = run_cli("run", "--protocol", "linear", "--out", str(tmp_path / "x.json"))
     assert code == 3
     assert "physics error" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_unphysical_oracle_state_is_physics_error(tmp_path, capsys, monkeypatch):
     def unphysical(config):
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")
 
-    monkeypatch.setattr(cvcluster.cli, "integrate_two_mode", unphysical)
+    # the CLI imports the oracle when --oracle asks for it, so patch its home
+    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", unphysical)
     code = run_cli(
         "run", "--protocol", "linear", "--method", "ode", "--beta", "1.5", "--r", "0.3",
         "--oracle", "--out", str(tmp_path / "x.json"),

@@ -1,28 +1,38 @@
 """Tests for the Gaussian state / drift-diffusion layer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
 
 from cvcluster import (
+    PROTOCOL_KINDS,
     DriftDiffusion,
     GaussianState,
     InvalidParameterError,
     InvalidTransformError,
     NonHurwitzError,
+    PhysicalParams,
     QuadraticHamiltonian,
     UnphysicalStateError,
     apply_mode_transform,
+    build_effective_hamiltonian,
+    builtin_protocol,
     builtin_transform,
+    cavity_damping,
     drift_diffusion,
     evolve,
     purity,
+    run_protocol,
     steady_state,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_drift_diffusion,
 )
+from cvcluster.model import reduced_drift_diffusion
 
 BETA_GRID = [0.3, 0.6, 1.0, 2.5, 4.0]
 R_GRID = [0.0, 0.2, 0.5, 0.8, 0.95]
@@ -152,6 +162,8 @@ def test_evolve_rejects_negative_time():
 
 def test_evolve_matches_ode_oracle_on_ten_by_ten():
     """Closed-form propagation against an independent adaptive ODE solve."""
+    from scipy.integrate import solve_ivp
+
     rng = np.random.default_rng(42)
     for _ in range(3):
         dd = random_generator(rng, 5)
@@ -208,6 +220,82 @@ def test_evolve_converges_to_steady_state_at_analytic_rate():
     assert slope <= 0.8 * 2 * max_re
 
 
+def block_expm_reference(dd, t):
+    """(Phi, Q) over the full time from scipy's expm of the Van Loan block."""
+    from scipy.linalg import expm
+
+    n2 = dd.A.shape[0]
+    block = np.block([[dd.A, dd.D], [np.zeros((n2, n2)), -dd.A.T]])
+    eb = expm(block * t)
+    return eb[:n2, :n2], eb[:n2, n2:] @ eb[:n2, :n2].T
+
+
+def test_evolve_matches_scipy_block_expm_on_random_stages():
+    """Every stage of 60 random protocols (240 stages), from a random mixed
+    state with a random mean.  Stage times stay at or below 8 and r at or
+    below 0.8: on longer, more strongly squeezed stages the block reference
+    itself loses digits to cancellation."""
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for i in range(60):
+        r = rng.uniform(0.0, 0.8)
+        beta = rng.uniform(0.3, 5.0) / math.sqrt(1.0 - r * r)
+        params = PhysicalParams.from_ratios(beta, r, kappa=1.0)
+        protocol = builtin_protocol(PROTOCOL_KINDS[i % 3], params)
+        for stage in protocol.stages:
+            dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0, 5))
+            t = rng.uniform(0.05, 8.0)
+            b = rng.normal(size=(10, 10)) * 0.3
+            state = GaussianState(tuple("abcde"), rng.normal(size=10), 0.5 * np.eye(10) + b @ b.T)
+            prop, acc = block_expm_reference(dd, t)
+            ref_cov = prop @ state.cov @ prop.T + acc
+            ref_mean = prop @ state.mean
+            out = evolve(state, dd, t)
+            worst = max(
+                worst,
+                np.abs(out.cov - ref_cov).max() / np.abs(ref_cov).max(),
+                np.abs(out.mean - ref_mean).max() / np.abs(ref_mean).max(),
+            )
+    assert worst <= 1e-11
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(PROTOCOL_KINDS),
+    r=st.floats(0.0, 0.95),
+    gap=st.floats(0.6, 12.0),
+    stage_time=st.floats(0.05, 40.0),
+)
+def test_time_domain_runs_stay_physical(kind, r, gap, stage_time):
+    """Long, strongly squeezed stages end in a physical state: squaring the
+    pair (Phi, Q) adds only positive semidefinite terms."""
+    params = PhysicalParams.from_ratios(gap / math.sqrt(1.0 - r * r), r, kappa=1.0)
+    protocol = builtin_protocol(kind, params, stage_time=stage_time)
+    final = run_protocol(protocol, params, method="time_domain").final_state
+    assert symplectic_eigenvalues(final.cov).min() - 0.5 >= -1e-10
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_time_domain_far_past_relaxation_equals_lyapunov(kind, r):
+    """Stage time 200/kappa, far past relaxation.  Forming Q as E_12 Phi^T
+    from one exponential over the whole stage cancels to garbage here (at
+    r 0.5 from about 60/kappa on)."""
+    params = PhysicalParams.from_ratios(2.5, r, kappa=1.0)
+    exact = run_protocol(builtin_protocol(kind, params), params, method="lyapunov_sequential")
+    long = run_protocol(
+        builtin_protocol(kind, params, stage_time=200.0), params, method="time_domain"
+    )
+    assert np.abs(long.final_state.cov - exact.final_state.cov).max() <= 1e-10
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e308])
+def test_evolve_rejects_a_time_whose_scaled_generator_overflows(t):
+    dd = two_mode_drift_diffusion(1.0, 0.3, 1.0)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        evolve(GaussianState.vacuum(("a", "d")), dd, t)
+
+
 # -------------------------------------------------------------- steady_state
 
 
@@ -241,6 +329,19 @@ def test_steady_state_residual_is_tiny():
     assert residual <= 1e-10 * (
         np.linalg.norm(dd.A) * np.linalg.norm(sigma) + np.linalg.norm(dd.D)
     )
+
+
+def test_steady_state_matches_scipy_lyapunov_solver():
+    from scipy.linalg import solve_continuous_lyapunov
+
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        r = rng.uniform(0.0, 0.95)
+        beta = rng.uniform(0.1, 12.0)
+        phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2))
+        dd = reduced_drift_diffusion(beta * phases[0], r * beta * phases[1], rng.uniform(0.2, 3.0))
+        ref = solve_continuous_lyapunov(dd.A, -dd.D)
+        assert np.abs(steady_state(dd) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ------------------------------------------------------- mode transformations
