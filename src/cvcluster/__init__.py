@@ -35,16 +35,12 @@ from .model import (
     ConvergenceInfo,
     PhysicalParams,
     PulseStage,
-    RegimeReport,
     build_effective_hamiltonian,
     cavity_damping,
     cavity_decay_from_finesse,
     convergence_eigenvalues,
-    effective_couplings,
     effective_spontaneous_rate,
-    reduced_hamiltonian,
     two_mode_drift_diffusion,
-    validate_dispersive_regime,
 )
 from .protocols import (
     MODE_LABELS,
@@ -120,16 +116,12 @@ __all__ = [
     "ConvergenceInfo",
     "PhysicalParams",
     "PulseStage",
-    "RegimeReport",
     "build_effective_hamiltonian",
     "cavity_damping",
     "cavity_decay_from_finesse",
     "convergence_eigenvalues",
-    "effective_couplings",
     "effective_spontaneous_rate",
-    "reduced_hamiltonian",
     "two_mode_drift_diffusion",
-    "validate_dispersive_regime",
     "MODE_LABELS",
     "PROTOCOL_KINDS",
     "STAGE_PHASE_FACTORS",

@@ -139,7 +139,7 @@ def covariance_from_density(rho: np.ndarray, dims) -> np.ndarray:
 def _moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Validated quadrature means and covariance of a density matrix."""
     if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise UnphysicalStateError(f"trace(rho) = {np.trace(rho)!r}, expected 1")
+        raise UnphysicalStateError(f"trace(rho) = {complex(np.trace(rho))!r}, expected 1")
     if np.abs(rho - rho.conj().T).max() > 1e-8:
         raise UnphysicalStateError("rho is not Hermitian")
     if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-9:

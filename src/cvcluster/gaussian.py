@@ -256,7 +256,8 @@ def evolve(state: GaussianState, dd: DriftDiffusion, t: float) -> GaussianState:
 
     reach time t.  Every term of Q is positive semidefinite, so nothing
     cancels, whereas E_12 Phi^T taken over a long stage loses digits as
-    E_12 grows and Phi decays.
+    E_12 grows and Phi decays.  Raises SimulationError when the doublings
+    overflow, which round-off on undamped modes brings about at huge ``t``.
     """
     if t < 0:
         raise InvalidParameterError(f"evolution time must be nonnegative, got {t}")
@@ -278,11 +279,17 @@ def evolve(state: GaussianState, dd: DriftDiffusion, t: float) -> GaussianState:
     eb = _expm_pade6(block * math.ldexp(t, -k))
     prop = eb[:n2, :n2]
     accumulated = eb[:n2, n2:] @ prop.T
-    for _ in range(k):
-        accumulated = prop @ accumulated @ prop.T + accumulated
-        prop = prop @ prop
-    cov = prop @ state.cov @ prop.T + accumulated
-    return GaussianState(state.mode_labels, prop @ state.mean, cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            accumulated = prop @ accumulated @ prop.T + accumulated
+            prop = prop @ prop
+        mean = prop @ state.mean
+        cov = prop @ state.cov @ prop.T + accumulated
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise SimulationError(
+            f"propagator for evolution time {t} overflowed after {k} squarings"
+        )
+    return GaussianState(state.mode_labels, mean, cov)
 
 
 def steady_state(dd: DriftDiffusion) -> np.ndarray:
@@ -364,7 +371,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     nu = 0.5 * (mods[0::2] + mods[1::2])
     if nu.min() < VACUUM_VARIANCE - UNCERTAINTY_TOL:
         raise UnphysicalStateError(
-            f"covariance violates the uncertainty relation (min symplectic eigenvalue {nu.min()!r})"
+            f"covariance violates the uncertainty relation (min symplectic eigenvalue {float(nu.min())!r})"
         )
     return nu
 

@@ -35,10 +35,6 @@ TWO_PI = 2.0 * math.pi
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Detuning / coupling ratio above which the dispersive approximation is
-#: accepted (the worked operating point uses Omega/Delta = 0.005).
-DISPERSIVE_RATIO_THRESHOLD = 100.0
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -135,19 +131,6 @@ class PulseStage:
             raise InvalidParameterError(f"duration must be positive, got {self.duration}")
 
 
-def effective_couplings(omega_u, phi_u, omega_s, phi_s, g, delta):
-    """Effective complex couplings of one driven ensemble to the cavity.
-
-    beta_u = Omega_u g e^{i phi_u} / (2 Delta)  (beam-splitter channel)
-    beta_s = Omega_s g e^{i phi_s} / (2 Delta)  (squeezing channel)
-    """
-    if delta == 0:
-        raise InvalidParameterError("detuning delta must be nonzero")
-    beta_u = omega_u * g * cmath.exp(1j * phi_u) / (2.0 * delta)
-    beta_s = omega_s * g * cmath.exp(1j * phi_s) / (2.0 * delta)
-    return beta_u, beta_s
-
-
 def build_effective_hamiltonian(stage: PulseStage, params: PhysicalParams) -> QuadraticHamiltonian:
     """Five-mode quadratic Hamiltonian of one pulse stage.
 
@@ -179,18 +162,16 @@ def cavity_damping(kappa: float, n_modes: int = 5) -> np.ndarray:
     return rates
 
 
-def reduced_hamiltonian(bs_coupling: complex, sq_coupling: complex) -> QuadraticHamiltonian:
-    """Cavity + one combined mode: H = bs a^dag d + sq a^dag d^dag + h.c."""
-    f = np.array([[0.0, bs_coupling], [np.conj(bs_coupling), 0.0]])
-    g = np.array([[0.0, sq_coupling], [sq_coupling, 0.0]])
-    return QuadraticHamiltonian(f, g)
-
-
 def reduced_drift_diffusion(
     bs_coupling: complex, sq_coupling: complex, kappa: float
 ) -> DriftDiffusion:
-    """Moment generator of the damped cavity + one combined mode with couplings (bs, sq)."""
-    return drift_diffusion(reduced_hamiltonian(bs_coupling, sq_coupling), cavity_damping(kappa, 2))
+    """Moment generator of the damped cavity + one combined mode d.
+
+    H = bs a^dag d + sq a^dag d^dag + h.c., with cavity loss 2 kappa D[a].
+    """
+    f = np.array([[0.0, bs_coupling], [np.conj(bs_coupling), 0.0]])
+    g = np.array([[0.0, sq_coupling], [sq_coupling, 0.0]])
+    return drift_diffusion(QuadraticHamiltonian(f, g), cavity_damping(kappa, 2))
 
 
 def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:
@@ -209,7 +190,8 @@ class ConvergenceInfo:
 
     @property
     def slow(self) -> bool:
-        return self.regime in ("slow", "no-preparation")
+        """Every stage that is not underdamped, the critical one included."""
+        return self.regime != "underdamped"
 
 
 def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceInfo:
@@ -239,64 +221,6 @@ def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceI
     if slow_re == 0:
         return ConvergenceInfo(lam_p, lam_m, math.inf, "no-preparation")
     return ConvergenceInfo(lam_p, lam_m, 8.0 / slow_re, "slow")
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Outcome of the dispersive-regime validity check."""
-
-    passed: bool
-    margin: float
-    threshold: float
-    min_detuning: float
-    max_coupling: float
-    vacuous: bool
-    shift_residual: float | None
-
-
-def validate_dispersive_regime(
-    params: PhysicalParams,
-    stage: PulseStage,
-    detuning_u,
-    detuning_s,
-    cavity_detuning_u,
-    cavity_detuning_s,
-    ratio_threshold: float = DISPERSIVE_RATIO_THRESHOLD,
-    delta_a: float | None = None,
-) -> RegimeReport:
-    """Check that every detuning dwarfs every coupling amplitude.
-
-    Passes when min(|detunings|) >= ratio_threshold * max(g, all Rabi
-    amplitudes).  A stage with all drives off passes vacuously.  When
-    ``delta_a`` is supplied, the residual of the shifted-resonance
-    condition delta_a + 4 g^2 N / Delta = 0 is reported as well.
-    """
-    detunings = np.abs(
-        np.concatenate(
-            [
-                np.atleast_1d(np.asarray(x, dtype=float))
-                for x in (detuning_u, detuning_s, cavity_detuning_u, cavity_detuning_s)
-            ]
-        )
-    )
-    amplitudes = np.concatenate([stage.omega_u, stage.omega_s])
-    residual = None
-    if delta_a is not None:
-        residual = delta_a + 4.0 * params.g**2 * params.n_atoms / params.delta
-    if amplitudes.max(initial=0.0) == 0.0:
-        return RegimeReport(True, math.inf, ratio_threshold, float(detunings.min()), 0.0, True, residual)
-    max_coupling = float(max(params.g, amplitudes.max()))
-    min_detuning = float(detunings.min())
-    margin = min_detuning / max_coupling
-    return RegimeReport(
-        passed=margin >= ratio_threshold,
-        margin=margin,
-        threshold=ratio_threshold,
-        min_detuning=min_detuning,
-        max_coupling=max_coupling,
-        vacuous=False,
-        shift_residual=residual,
-    )
 
 
 def cavity_decay_from_finesse(finesse: float, round_trip_length: float) -> float:

@@ -47,9 +47,7 @@ from .model import (
     convergence_eigenvalues,
     reduced_drift_diffusion,
 )
-from .verify import ClusterGraph, builtin_graph, nullifier_variances
-
-PROTOCOL_KINDS = ("linear", "square", "tshape")
+from .verify import GRAPH_KINDS as PROTOCOL_KINDS, ClusterGraph, builtin_graph, nullifier_variances
 
 #: Mode labels used by every protocol state (index 0 = cavity).
 MODE_LABELS = ("cavity", "e1", "e2", "e3", "e4")
@@ -129,9 +127,6 @@ class ModeTransform:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symplectic", s)
 
-    def row(self, j: int) -> np.ndarray:
-        return self.matrix[j]
-
 
 def builtin_transform(kind: str) -> ModeTransform:
     if kind not in _TRANSFORMS:
@@ -153,7 +148,7 @@ def stage_from_mode_vector(v, omega: float, r: float, duration: float) -> PulseS
         raise InvalidParameterError(f"mode vector must have 4 entries, got shape {v.shape}")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-10:
-        raise InvalidParameterError(f"mode vector must be normalised, |v| = {norm!r}")
+        raise InvalidParameterError(f"mode vector must be normalised, |v| = {float(norm)!r}")
     if omega <= 0:
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     if not 0.0 <= r < 1.0:
@@ -234,10 +229,6 @@ class Protocol:
             raise InvalidParameterError(f"stages must target distinct combined modes, got {targets}")
         object.__setattr__(self, "stages", stages)
 
-    @property
-    def kind(self) -> str:
-        return self.transform.name
-
 
 def builtin_protocol(
     kind: str, params: PhysicalParams, stage_time: float | None = None
@@ -251,7 +242,7 @@ def builtin_protocol(
     duration = stage_time if stage_time is not None else 4.0 / params.kappa
     factors = STAGE_PHASE_FACTORS[kind]
     stages = tuple(
-        stage_from_mode_vector(factors[j] * transform.row(j), params.omega, params.r, duration)
+        stage_from_mode_vector(factors[j] * transform.matrix[j], params.omega, params.r, duration)
         for j in range(4)
     )
     return Protocol(transform, stages, builtin_graph(kind), params.xi)
@@ -298,12 +289,19 @@ def _stage_coupling(
     return target, complex(report.beam_splitter[target]), complex(report.squeezing[target])
 
 
-def _stage_convergence(bs: complex, sq: complex, kappa: float) -> ConvergenceInfo:
-    """Relaxation spectrum of a stage whose target couplings are (bs, sq).
+def _stage_convergence(k: int, bs: complex, sq: complex, kappa: float) -> ConvergenceInfo:
+    """Relaxation spectrum of stage k + 1, whose target couplings are (bs, sq).
 
-    The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|;
-    requires |sq| < |bs|.
+    The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|.
+    Raises NonHurwitzError naming the stage when |sq| >= |bs|: the stage
+    squeezes at least as strongly as it swaps, and the pair has no steady
+    state.
     """
+    if abs(sq) >= abs(bs):
+        eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, kappa).A)
+        raise NonHurwitzError(
+            f"stage {k + 1} has no steady state", eigvals[np.argmax(eigvals.real)]
+        )
     beta = abs(bs)
     return convergence_eigenvalues(beta, abs(sq) / beta, kappa)
 
@@ -339,7 +337,12 @@ def run_protocol(
     warnings: list[str] = []
     for k, stage in enumerate(protocol.stages):
         target, bs, sq = _stage_coupling(stage, protocol.transform, params)
-        slow = abs(sq) >= abs(bs) or _stage_convergence(bs, sq, kappa).regime != "underdamped"
+        try:
+            slow = _stage_convergence(k, bs, sq, kappa).slow
+        except NonHurwitzError:
+            if method == "lyapunov_sequential":
+                raise
+            slow = True  # the time-domain method evolves it all the same
         if slow:
             warnings.append(
                 f"stage {k + 1}: slow regime, effective coupling gap "
@@ -392,13 +395,5 @@ def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     as ``run_protocol`` does, when a stage squeezes at least as strongly as
     it swaps (|sq| >= |bs|): its reduced pair has no steady state.
     """
-    infos = []
-    for k, stage in enumerate(protocol.stages):
-        _, bs, sq = _stage_coupling(stage, protocol.transform, params)
-        if abs(sq) >= abs(bs):
-            eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, params.kappa).A)
-            raise NonHurwitzError(
-                f"stage {k + 1} has no steady state", eigvals[np.argmax(eigvals.real)]
-            )
-        infos.append(_stage_convergence(bs, sq, params.kappa))
-    return infos
+    couplings = (_stage_coupling(stage, protocol.transform, params) for stage in protocol.stages)
+    return [_stage_convergence(k, bs, sq, params.kappa) for k, (_, bs, sq) in enumerate(couplings)]

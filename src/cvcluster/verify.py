@@ -17,13 +17,14 @@ import numpy as np
 from .errors import InvalidParameterError
 from .gaussian import GaussianState
 
-GRAPH_KINDS = ("linear", "square", "tshape")
-
 _EDGES = {
     "linear": ((0, 1), (1, 2), (2, 3)),
     "square": ((0, 2), (0, 3), (1, 2), (1, 3)),
     "tshape": ((0, 1), (0, 2), (0, 3)),
 }
+
+#: The built-in cluster states; each protocol kind prepares the graph of that name.
+GRAPH_KINDS = tuple(_EDGES)
 
 
 @dataclass(frozen=True, eq=False)

@@ -214,6 +214,20 @@ def test_unphysical_state_is_physics_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_overflowing_propagator_is_physics_error(tmp_path, capsys):
+    """A finite but huge stage time overflows evolve's squarings: exit 3, not
+    a configuration error, and no numpy warning on the way."""
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "run", "--protocol", "linear", "--method", "ode", "--stage-time", "1e300",
+        "--out", str(out),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: propagator for evolution time 1e+300")
+    assert not out.exists()
+
+
 def test_unphysical_oracle_state_is_physics_error(tmp_path, capsys, monkeypatch):
     def unphysical(config):
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")

@@ -17,6 +17,7 @@ from cvcluster import (
     NonHurwitzError,
     PhysicalParams,
     QuadraticHamiltonian,
+    SimulationError,
     UnphysicalStateError,
     apply_mode_transform,
     build_effective_hamiltonian,
@@ -296,6 +297,18 @@ def test_evolve_rejects_a_time_whose_scaled_generator_overflows(t):
         evolve(GaussianState.vacuum(("a", "d")), dd, t)
 
 
+def test_evolve_reports_an_overflowing_propagator_as_a_simulation_error():
+    """At t = 1e300 the ~1000 squarings amplify the round-off on the modes a
+    stage leaves undamped past the float range: that is a failed simulation,
+    not a bad argument, and it warns nothing on the way."""
+    params = PhysicalParams.from_ratios(2.5, 0.5)
+    stage = builtin_protocol("linear", params).stages[0]
+    dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0))
+    with pytest.raises(SimulationError, match="evolution time 1e\\+300") as info:
+        evolve(GaussianState.vacuum(("c", "e1", "e2", "e3", "e4")), dd, 1e300)
+    assert not isinstance(info.value, InvalidParameterError)
+
+
 # -------------------------------------------------------------- steady_state
 
 
@@ -419,6 +432,13 @@ def test_unphysical_covariance_diagnosed():
         symplectic_eigenvalues(0.4 * np.eye(2))
     with pytest.raises(UnphysicalStateError):
         purity(0.4 * np.eye(2))
+
+
+def test_uncertainty_violation_message_prints_a_plain_number():
+    with pytest.raises(UnphysicalStateError) as info:
+        symplectic_eigenvalues(0.4 * np.eye(2))
+    assert "0.4" in str(info.value)
+    assert "np." not in str(info.value)
 
 
 def test_drift_diffusion_validation():

@@ -14,9 +14,7 @@ from cvcluster import (
     cavity_damping,
     cavity_decay_from_finesse,
     convergence_eigenvalues,
-    effective_couplings,
     effective_spontaneous_rate,
-    validate_dispersive_regime,
 )
 from cvcluster.tables import generated_stage
 
@@ -120,33 +118,6 @@ def test_pulse_stage_rejects_non_finite_numbers(field, value):
         stage(**fields)
 
 
-# --------------------------------------------------------- effective couplings
-
-
-def test_effective_couplings_zero_drive():
-    beta_u, beta_s = effective_couplings(0.0, 1.0, 0.0, 2.0, g=1.5, delta=4.0)
-    assert beta_u == 0 and beta_s == 0
-
-
-def test_effective_couplings_direct_evaluation():
-    omega = 1.3
-    beta_u, _ = effective_couplings(
-        math.sqrt(2) * omega, 1.5 * math.pi, 0.0, 0.0, g=2.0, delta=5.0
-    )
-    assert abs(beta_u - (-1j * math.sqrt(2) * omega * 2.0 / 10.0)) < 1e-14
-
-
-def test_effective_couplings_pi_phase_is_negative_real():
-    _, beta_s = effective_couplings(0.0, 0.0, 1.1, math.pi, g=1.0, delta=2.0)
-    assert beta_s.real < 0
-    assert abs(beta_s.imag) < 1e-14
-
-
-def test_effective_couplings_requires_detuning():
-    with pytest.raises(InvalidParameterError):
-        effective_couplings(1, 0, 1, 0, g=1, delta=0.0)
-
-
 # ------------------------------------------------------- effective Hamiltonian
 
 
@@ -200,41 +171,6 @@ def test_cavity_damping_vector():
     assert_allclose(rates, [3.0, 0, 0, 0, 0])
     with pytest.raises(InvalidParameterError):
         cavity_damping(-1.0)
-
-
-# ----------------------------------------------------------- regime validator
-
-
-def test_dispersive_regime_operating_point_passes():
-    params = PhysicalParams(g=1.0, delta=200.0, n_atoms=1000, kappa=1.0, omega=1.0, r=0.5)
-    st = stage([1, 1, 1, 1], [0.5] * 4, [0] * 4, [0] * 4)
-    report = validate_dispersive_regime(params, st, 200.0, 200.0, 200.0, 200.0)
-    assert report.passed
-    assert abs(report.margin - 200.0) < 1e-12
-
-
-def test_dispersive_regime_strong_drive_fails():
-    params = PhysicalParams(g=1.0, delta=2.0, n_atoms=10, kappa=1.0, omega=1.0, r=0.5)
-    st = stage([1, 1, 1, 1], [0.5] * 4, [0] * 4, [0] * 4)
-    report = validate_dispersive_regime(params, st, 2.0, 2.0, 2.0, 2.0)
-    assert not report.passed
-    assert abs(report.margin - 2.0) < 1e-12
-
-
-def test_dispersive_regime_vacuous_pass():
-    params = PhysicalParams.from_ratios(1.0, 0.5)
-    st = stage([0] * 4, [0] * 4, [0] * 4, [0] * 4)
-    report = validate_dispersive_regime(params, st, 5.0, 5.0, 5.0, 5.0)
-    assert report.passed and report.vacuous
-    assert report.margin == math.inf
-
-
-def test_dispersive_regime_shift_residual():
-    params = PhysicalParams(g=2.0, delta=100.0, n_atoms=50, kappa=1.0, omega=1.0, r=0.5)
-    st = stage([1] * 4, [0.5] * 4, [0] * 4, [0] * 4)
-    balanced = -4.0 * params.g**2 * params.n_atoms / params.delta
-    report = validate_dispersive_regime(params, st, 100, 100, 100, 100, delta_a=balanced)
-    assert abs(report.shift_residual) < 1e-12
 
 
 # ------------------------------------------------------------- SI estimators
@@ -294,6 +230,7 @@ def test_convergence_eigenvalues_critical():
     assert abs(info.lambda_plus + 0.5) < 1e-14
     assert abs(info.lambda_minus + 0.5) < 1e-14
     assert info.regime == "critical"
+    assert info.slow
 
 
 def test_convergence_eigenvalues_slow():

@@ -251,7 +251,7 @@ def test_squeeze_only_stage_is_rejected_as_unstable():
     transform = builtin_transform("linear")
     stages = []
     for j in range(4):
-        v = transform.row(j)
+        v = transform.matrix[j]
         angles = np.where(np.abs(v) > 0, np.angle(v), 0.0)
         stages.append(
             PulseStage(
@@ -299,6 +299,38 @@ def test_stage_relaxation_rejects_a_stage_without_steady_state():
         with pytest.raises(NonHurwitzError) as runner:
             run_protocol(broken, params)
         assert str(relaxation.value) == str(runner.value)
+        assert relaxation.value.eigenvalue == runner.value.eigenvalue
+
+
+@pytest.mark.parametrize("swap,squeeze", [(1.0, 1.0), (0.0, 1.0)])
+def test_time_domain_evolves_a_stage_without_steady_state(swap, squeeze):
+    """The time-domain method has no steady state to miss: it runs the
+    broken protocols above to the end and flags every stage slow."""
+    params = PhysicalParams.from_ratios(1.0, 0.5)
+    protocol = builtin_protocol("linear", params)
+    stages = tuple(
+        dataclasses.replace(s, omega_u=swap * s.omega_u, omega_s=squeeze * s.omega_u)
+        for s in protocol.stages
+    )
+    broken = dataclasses.replace(protocol, stages=stages)
+    run = run_protocol(broken, params, method="time_domain")
+    assert [trace.slow_regime for trace in run.stages] == [True] * 4
+    assert len(run.warnings) == 4
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize(
+    "beta,r",
+    [(0.5, 0.0), (0.3, 0.5), (0.577350269189626, 0.5), (1.0, 0.0), (1.0, 0.9), (2.5, 0.5)],
+)
+def test_stage_relaxation_and_run_agree_on_the_slow_regime(kind, beta, r):
+    """One rule decides slowness: the critical point (beta 0.5, r 0) is slow
+    in both, as is every stage that is not underdamped."""
+    params = PhysicalParams.from_ratios(beta, r)
+    protocol = builtin_protocol(kind, params)
+    infos = stage_relaxation(protocol, params)
+    traces = run_protocol(protocol, params).stages
+    assert [info.slow for info in infos] == [trace.slow_regime for trace in traces]
 
 
 def test_unknown_method_rejected():
