@@ -73,7 +73,6 @@ from .verify import (
     builtin_graph,
     is_cluster,
     nullifier_coefficients,
-    nullifier_labels,
     nullifier_variances,
     vacuum_targets,
 )
@@ -148,7 +147,6 @@ __all__ = [
     "builtin_graph",
     "is_cluster",
     "nullifier_coefficients",
-    "nullifier_labels",
     "nullifier_variances",
     "vacuum_targets",
 ]

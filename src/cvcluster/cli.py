@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, SimulationError
-from .gaussian import GaussianState, evolve, purity, symplectic_eigenvalues
+from .gaussian import GaussianState, evolve, symplectic_eigenvalues
 from .model import (
     PhysicalParams,
     cavity_decay_from_finesse,
@@ -132,8 +132,8 @@ def _run_once(config: RunConfig) -> tuple[dict, bool]:
     params = PhysicalParams.from_ratios(config.beta, config.r, kappa=1.0)
     protocol = builtin_protocol(config.protocol, params, stage_time=config.stage_time)
     run = run_protocol(protocol, params, method=_METHODS[config.method])
-    report = is_cluster(run.final_state, config.protocol, params.xi, config.tol)
-    ensemble = run.ensemble_state
+    report = is_cluster(run.final_state, protocol.graph, params.xi, config.tol)
+    ensemble_cov = run.final_state.cov[2:, 2:]
     payload = {
         "resolved_config": asdict(config),
         "warnings": list(run.warnings),
@@ -153,12 +153,12 @@ def _run_once(config: RunConfig) -> tuple[dict, bool]:
         "final": {
             "mode_labels": list(run.final_state.mode_labels),
             "covariance_row_major": run.final_state.cov.reshape(-1).tolist(),
-            "ensemble_covariance_row_major": ensemble.cov.reshape(-1).tolist(),
+            "ensemble_covariance_row_major": ensemble_cov.reshape(-1).tolist(),
             "nullifier_variances": report.variances.tolist(),
             "analytic_targets": report.targets.tolist(),
             "vacuum_variances": report.vacuum.tolist(),
-            "ensemble_purity": purity(ensemble.cov),
-            "ensemble_symplectic_eigenvalues": symplectic_eigenvalues(ensemble.cov).tolist(),
+            "ensemble_purity": run.stages[-1].ensemble_purity,
+            "ensemble_symplectic_eigenvalues": symplectic_eigenvalues(ensemble_cov).tolist(),
         },
         "verdict": {
             "passed": report.passed,

@@ -22,7 +22,7 @@ nearly half its states on pairs like (15, 15) that stay empty long after
 the states n_a + n_d = N fill.  The simplex is closed under a and d.  Its
 boundary, the retained states that a^dag or d^dag maps out of it, carries
 the population the truncation would lose next, and that population is
-checked against ``leakage_guard``.
+checked against LEAKAGE_GUARD.
 
 Only the parity sector of rho is integrated: the entries |m><n| whose ket
 and bra have the same parity of n_a + n_d.  a^dag d, a^dag d^dag and their
@@ -56,6 +56,10 @@ import scipy.sparse as sp
 
 from .errors import CutoffTooSmallError, InvalidParameterError, UnphysicalStateError
 
+#: Largest population allowed on the boundary of the retained basis before
+#: a run aborts with CutoffTooSmallError.
+LEAKAGE_GUARD = 1e-6
+
 #: Longest interval between leakage-guard checks; a power of two, so
 #: t_final / _INTERVAL is exact.
 _INTERVAL = 0.25
@@ -68,10 +72,9 @@ class FockConfig:
     ``cutoff_a`` / ``cutoff_d`` are the largest retained photon numbers of
     each mode, integers, reached when the other mode is empty: the basis
     keeps the states with n_a / cutoff_a + n_d / cutoff_d <= 1.
-    ``leakage_guard`` bounds the population allowed on the boundary of that
-    simplex before the run aborts.  There is no time-step setting: the propagator is
-    exact, and the guard is checked after each of ceil(t_final / 0.25)
-    equal intervals.
+    There is no time-step setting: the propagator is exact, and
+    LEAKAGE_GUARD is checked after each of ceil(t_final / 0.25) equal
+    intervals.
     """
 
     beta: float
@@ -80,7 +83,6 @@ class FockConfig:
     t_final: float
     cutoff_a: int = 20
     cutoff_d: int = 20
-    leakage_guard: float = 1e-6
 
     def __post_init__(self):
         for name in ("beta", "kappa", "t_final"):
@@ -92,8 +94,6 @@ class FockConfig:
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.cutoff_a < 4 or self.cutoff_d < 4:
             raise InvalidParameterError("cutoffs must be at least 4")
-        if not 0.0 < self.leakage_guard < 1.0:
-            raise InvalidParameterError("leakage_guard must lie in (0, 1)")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
         if self.beta < 0 or self.kappa < 0:
@@ -142,7 +142,10 @@ def _moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.nda
         raise UnphysicalStateError(f"trace(rho) = {complex(np.trace(rho))!r}, expected 1")
     if np.abs(rho - rho.conj().T).max() > 1e-8:
         raise UnphysicalStateError("rho is not Hermitian")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-9:
+    # zero rows of the Hermitian part only add zero eigenvalues, so skip them
+    herm = 0.5 * (rho + rho.conj().T)
+    live = np.flatnonzero(np.abs(herm).any(axis=1))
+    if np.linalg.eigvalsh(herm[np.ix_(live, live)]).min() < -1e-9:
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")
 
     def expectation(x) -> float:
@@ -269,7 +272,7 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     Higham, SIAM J. Sci. Comput. 33 (2011) 488), accurate to float64 roundoff, so the
     result carries truncation error only.  Aborts with CutoffTooSmallError
     when the boundary of the simplex accumulates more population than
-    ``leakage_guard``.  ``rho`` is the full (cutoff_a + 1)(cutoff_d + 1)
+    LEAKAGE_GUARD.  ``rho`` is the full (cutoff_a + 1)(cutoff_d + 1)
     square complex density matrix G rho' G^dag, zero outside the sector and
     the simplex.
     """
@@ -288,7 +291,7 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     for step in range(1, n_steps + 1):
         vec = expm_multiply(generator, vec)
         leakage = float(vec[on_boundary].sum())
-        if leakage > config.leakage_guard:
+        if leakage > LEAKAGE_GUARD:
             raise CutoffTooSmallError(
                 f"population reached the truncation boundary at t = {step * dt:.4g}; "
                 "increase cutoff_a / cutoff_d",

@@ -1,17 +1,20 @@
 """Gaussian states of bosonic modes and their dissipative linear dynamics.
 
-States are parametrised by the mean vector and covariance matrix of the
-quadratures q_j = (a_j + a_j^dag)/sqrt(2), p_j = -i(a_j - a_j^dag)/sqrt(2),
-stored in the interleaved order (q_1, p_1, ..., q_n, p_n).  With this
-normalisation the vacuum has mean zero and covariance I/2, so every
-quadrature variance is 1/2.
+States are parametrised by the covariance matrix of the quadratures
+q_j = (a_j + a_j^dag)/sqrt(2), p_j = -i(a_j - a_j^dag)/sqrt(2), stored in
+the interleaved order (q_1, p_1, ..., q_n, p_n).  With this normalisation
+the vacuum has covariance I/2, so every quadrature variance is 1/2.
+
+Every state has zero mean, so none is stored.  The protocols start from the
+vacuum, the Hamiltonians are quadratic (no linear drive terms), and the only
+loss is to a vacuum bath, so the mean obeys d<x>/dt = A <x> from <x> = 0 and
+stays 0.
 
 Quadratic Hamiltonians H = sum_ij F_ij a_i^dag a_j
                          + 1/2 sum_ij (G_ij a_i^dag a_j^dag + h.c.)
 together with single-mode loss channels gamma_i * D[a_i] generate linear
 moment equations
 
-    d<x>/dt   = A <x>
     d sigma/dt = A sigma + sigma A^T + D
 
 and this module builds (A, D), integrates them exactly through a matrix
@@ -46,6 +49,10 @@ MATRIX_SYMMETRY_TOL = 1e-12
 
 #: Symplectic eigenvalues may undershoot 1/2 by at most this much.
 UNCERTAINTY_TOL = 1e-9
+
+#: Largest Frobenius-norm deviation of U U^dag from I for a unitary mode
+#: transform, and of |v| from 1 for a normalised mode vector.
+UNITARITY_TOL = 1e-12
 
 #: A is Hurwitz when every eigenvalue real part lies below this threshold.
 HURWITZ_THRESHOLD = -1e-12
@@ -154,7 +161,7 @@ class DriftDiffusion:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian state given by quadrature means and covariances.
+    """Zero-mean Gaussian state given by its quadrature covariances.
 
     The covariance matrix is symmetrised on construction and checked by
     ``symplectic_eigenvalues`` against the uncertainty relation (all
@@ -162,31 +169,25 @@ class GaussianState:
     """
 
     mode_labels: tuple[str, ...]
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.mode_labels)
-        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         n = len(labels)
-        if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
-            raise InvalidParameterError(
-                f"{n} modes need mean (2n,) and cov (2n, 2n); got {mean.shape}, {cov.shape}"
-            )
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise InvalidParameterError("mean and cov must be finite")
+        if cov.shape != (2 * n, 2 * n):
+            raise InvalidParameterError(f"{n} modes need cov (2n, 2n); got {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise InvalidParameterError("cov must be finite")
         cov = 0.5 * (cov + cov.T)
         symplectic_eigenvalues(cov)
         object.__setattr__(self, "mode_labels", labels)
-        object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
 
     @classmethod
     def vacuum(cls, mode_labels) -> "GaussianState":
         labels = tuple(mode_labels)
-        n = len(labels)
-        return cls(labels, np.zeros(2 * n), VACUUM_VARIANCE * np.eye(2 * n))
+        return cls(labels, VACUUM_VARIANCE * np.eye(2 * len(labels)))
 
     @property
     def n_modes(self) -> int:
@@ -199,11 +200,7 @@ class GaussianState:
         """Reduced state over the given mode labels (Gaussian partial trace)."""
         keep = [self.mode_index(lbl) for lbl in labels]
         idx = np.array([[2 * m, 2 * m + 1] for m in keep]).reshape(-1)
-        return GaussianState(
-            tuple(self.mode_labels[m] for m in keep),
-            self.mean[idx],
-            self.cov[np.ix_(idx, idx)],
-        )
+        return GaussianState(tuple(self.mode_labels[m] for m in keep), self.cov[np.ix_(idx, idx)])
 
 
 def drift_diffusion(h: QuadraticHamiltonian, damping) -> DriftDiffusion:
@@ -242,8 +239,7 @@ def evolve(state: GaussianState, dd: DriftDiffusion, t: float) -> GaussianState:
 
     Uses the closed-form solution
 
-        mean(t)  = Phi(t) mean(0),    Phi(t) = e^{At}
-        sigma(t) = Phi(t) sigma(0) Phi(t)^T + Q(t),
+        sigma(t) = Phi(t) sigma(0) Phi(t)^T + Q(t),    Phi(t) = e^{At},
         Q(t)     = int_0^t e^{As} D e^{A^T s} ds.
 
     The pair (Phi, Q) is found by scaling and squaring.  With k the
@@ -283,13 +279,12 @@ def evolve(state: GaussianState, dd: DriftDiffusion, t: float) -> GaussianState:
         for _ in range(k):
             accumulated = prop @ accumulated @ prop.T + accumulated
             prop = prop @ prop
-        mean = prop @ state.mean
         cov = prop @ state.cov @ prop.T + accumulated
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+    if not np.isfinite(cov).all():
         raise SimulationError(
             f"propagator for evolution time {t} overflowed after {k} squarings"
         )
-    return GaussianState(state.mode_labels, mean, cov)
+    return GaussianState(state.mode_labels, cov)
 
 
 def steady_state(dd: DriftDiffusion) -> np.ndarray:
@@ -320,19 +315,21 @@ def steady_state(dd: DriftDiffusion) -> np.ndarray:
     return sigma
 
 
-def symplectic_from_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic matrix induced on quadratures by a mode unitary.
 
     For d_j = sum_k U_jk c_k the quadratures mix as
     q'_j = sum_k (Re U_jk q_k - Im U_jk p_k),
     p'_j = sum_k (Im U_jk q_k + Re U_jk p_k).
+
+    Raises InvalidTransformError when |U U^dag - I| exceeds UNITARITY_TOL.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
     if u.shape != (n, n):
         raise InvalidParameterError(f"transform must be square, got {u.shape}")
     deviation = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
-    if deviation > tol:
+    if deviation > UNITARITY_TOL:
         raise InvalidTransformError("mode transform is not unitary", deviation)
     s = np.zeros((2 * n, 2 * n))
     s[0::2, 0::2] = u.real
@@ -342,7 +339,7 @@ def symplectic_from_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return s
 
 
-def apply_mode_transform(state: GaussianState, u: np.ndarray, new_labels=None) -> GaussianState:
+def apply_mode_transform(state: GaussianState, u: np.ndarray) -> GaussianState:
     """Re-express ``state`` in the mode basis d = U c.
 
     The induced quadrature map is symplectic and orthogonal, so
@@ -353,8 +350,7 @@ def apply_mode_transform(state: GaussianState, u: np.ndarray, new_labels=None) -
             f"transform is {u.shape[0]}-mode but state has {state.n_modes} modes"
         )
     s = symplectic_from_unitary(u)
-    labels = tuple(new_labels) if new_labels is not None else state.mode_labels
-    return GaussianState(labels, s @ state.mean, s @ state.cov @ s.T)
+    return GaussianState(state.mode_labels, s @ state.cov @ s.T)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -102,8 +102,7 @@ class PulseStage:
     """One piecewise-constant pulse: per-ensemble amplitudes and phases.
 
     Amplitudes are nonnegative rates, phases are stored reduced to
-    [0, 2 pi).  ``verbatim`` marks hand-transcribed reference tables kept
-    exactly as printed (including suspected misprints).
+    [0, 2 pi).
     """
 
     omega_u: np.ndarray
@@ -111,7 +110,6 @@ class PulseStage:
     phi_u: np.ndarray
     phi_s: np.ndarray
     duration: float
-    verbatim: bool = False
 
     def __post_init__(self):
         for name in ("omega_u", "omega_s", "phi_u", "phi_s"):
@@ -202,6 +200,8 @@ def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceI
     steady state.  Otherwise the slow eigenvalue dictates the time scale
     (8 / |Re lambda_slow|) and the stage is flagged.
     """
+    _require_finite("beta", beta)
+    _require_finite("kappa", kappa)
     if kappa <= 0:
         raise InvalidParameterError(f"kappa must be positive, got {kappa}")
     if not 0.0 <= r < 1.0:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NonHurwitzError
 from .gaussian import (
+    UNITARITY_TOL,
     GaussianState,
     drift_diffusion,
     evolve,
@@ -110,7 +111,6 @@ class ModeTransform:
     ``symplectic`` is its quadrature map on all of MODE_LABELS (cavity fixed).
     """
 
-    name: str
     matrix: np.ndarray
     symplectic: np.ndarray = field(init=False, repr=False)
 
@@ -120,7 +120,7 @@ class ModeTransform:
             raise InvalidParameterError(f"transform matrix must be 4 x 4, got {m.shape}")
         extended = np.eye(5, dtype=complex)
         extended[1:, 1:] = m
-        s = symplectic_from_unitary(extended, tol=1e-12)
+        s = symplectic_from_unitary(extended)
         m = m.copy()
         for arr in (m, s):
             arr.flags.writeable = False
@@ -133,13 +133,13 @@ def builtin_transform(kind: str) -> ModeTransform:
         raise InvalidParameterError(
             f"unknown transform kind {kind!r}, expected one of {PROTOCOL_KINDS}"
         )
-    return ModeTransform(kind, _TRANSFORMS[kind])
+    return ModeTransform(_TRANSFORMS[kind])
 
 
 def stage_from_mode_vector(v, omega: float, r: float, duration: float) -> PulseStage:
     """Pulse stage that couples the cavity to the combined mode sum_j v_j c_j.
 
-    Requires |v| = 1.  Amplitudes: Omega_u_j = 2 Omega |v_j|,
+    Requires |v| = 1 to UNITARITY_TOL.  Amplitudes: Omega_u_j = 2 Omega |v_j|,
     Omega_s_j = 2 r Omega |v_j|; phases: phi_u_j = arg v_j,
     phi_s_j = -arg v_j.  The resulting couplings are (beta, r beta).
     """
@@ -147,7 +147,7 @@ def stage_from_mode_vector(v, omega: float, r: float, duration: float) -> PulseS
     if v.shape != (4,):
         raise InvalidParameterError(f"mode vector must have 4 entries, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > UNITARITY_TOL:
         raise InvalidParameterError(f"mode vector must be normalised, |v| = {float(norm)!r}")
     if omega <= 0:
         raise InvalidParameterError(f"omega must be positive, got {omega}")
@@ -356,14 +356,12 @@ def run_protocol(
                     f"stage {k + 1} has no steady state", exc.eigenvalue
                 ) from exc
             cov_d = s_ext @ state.cov @ s_ext.T
-            mean_d = s_ext @ state.mean
             pair = [0, 1, 2 * (target + 1), 2 * (target + 1) + 1]
             rest = [i for i in range(10) if i not in pair]
             cov_d[np.ix_(pair, rest)] = 0.0
             cov_d[np.ix_(rest, pair)] = 0.0
             cov_d[np.ix_(pair, pair)] = sigma_pair
-            mean_d[pair] = 0.0
-            state = GaussianState(MODE_LABELS, s_ext.T @ mean_d, s_ext.T @ cov_d @ s_ext)
+            state = GaussianState(MODE_LABELS, s_ext.T @ cov_d @ s_ext)
         else:
             duration = stage_time if stage_time is not None else stage.duration
             if duration <= 0:

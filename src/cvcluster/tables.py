@@ -28,6 +28,9 @@ _S3 = math.sqrt(3.0)
 _S6 = math.sqrt(6.0)
 _S10 = math.sqrt(10.0)
 
+#: Amplitudes and phases closer than this count as equal in compare_stages.
+AMP_TOL = 1e-12
+
 # Per stage: omega_u coefficients (units of Omega), omega_s as
 # (coefficient, carries_r) pairs, phases in radians.  Phases the source
 # table does not give are stored as 0.
@@ -149,13 +152,10 @@ KNOWN_DISCREPANCIES: dict[tuple[str, int], tuple[str, ...]] = {
 }
 
 
-def reference_stage(
-    kind: str, index: int, omega: float = 1.0, r: float = 0.5, duration: float = 4.0
-) -> PulseStage:
+def reference_stage(kind: str, index: int, omega: float = 1.0, r: float = 0.5) -> PulseStage:
     """Literal reference table for one stage, materialised at (omega, r).
 
-    Values are kept exactly as printed, suspected misprints included;
-    the returned stage is tagged ``verbatim=True``.
+    Values are kept exactly as printed, suspected misprints included.
     """
     key = (kind, index)
     if key not in _TABLES:
@@ -170,19 +170,16 @@ def reference_stage(
         omega_s=omega_s,
         phi_u=np.array(row["phi_u"]),
         phi_s=np.array(row["phi_s"]),
-        duration=duration,
-        verbatim=True,
+        duration=4.0,  # the built-in 4 / kappa at kappa = 1; no comparison reads it
     )
 
 
-def generated_stage(
-    kind: str, index: int, omega: float = 1.0, r: float = 0.5, duration: float = 4.0
-) -> PulseStage:
+def generated_stage(kind: str, index: int, omega: float = 1.0, r: float = 0.5) -> PulseStage:
     """Stage ``index`` (1..4) of the built-in protocol at (omega, r)."""
     if not 1 <= index <= 4:
         raise InvalidParameterError(f"stage index must lie in 1..4, got {index}")
     params = PhysicalParams.from_ratios(omega, r)
-    return builtin_protocol(kind, params, stage_time=duration).stages[index - 1]
+    return builtin_protocol(kind, params).stages[index - 1]
 
 
 @dataclass(frozen=True)
@@ -205,22 +202,20 @@ def _phase_gap(a: float, b: float) -> float:
     return abs((a - b + _PI) % (2.0 * _PI) - _PI)
 
 
-def compare_stages(
-    generated: PulseStage, reference: PulseStage, amp_tol: float = 1e-12
-) -> list[StageMismatch]:
+def compare_stages(generated: PulseStage, reference: PulseStage) -> list[StageMismatch]:
     """Entrywise comparison; phases are checked mod 2 pi and only where the
     corresponding amplitude is nonzero in both stages."""
     mismatches = []
     for field in ("omega_u", "omega_s"):
         ga, ra = getattr(generated, field), getattr(reference, field)
         for j in range(4):
-            if abs(ga[j] - ra[j]) > amp_tol:
+            if abs(ga[j] - ra[j]) > AMP_TOL:
                 mismatches.append(StageMismatch(field, j + 1, ga[j], ra[j]))
     for amp_field, phase_field in (("omega_u", "phi_u"), ("omega_s", "phi_s")):
         gp, rp = getattr(generated, phase_field), getattr(reference, phase_field)
         ga, ra = getattr(generated, amp_field), getattr(reference, amp_field)
         for j in range(4):
-            if ga[j] > amp_tol and ra[j] > amp_tol and _phase_gap(gp[j], rp[j]) > amp_tol:
+            if ga[j] > AMP_TOL and ra[j] > AMP_TOL and _phase_gap(gp[j], rp[j]) > AMP_TOL:
                 mismatches.append(StageMismatch(phase_field, j + 1, gp[j], rp[j]))
     return mismatches
 
@@ -255,7 +250,7 @@ class TableCheckReport:
         return not self.unexpected
 
 
-def check_tables(omega: float = 1.0, r: float = 0.5, duration: float = 4.0) -> TableCheckReport:
+def check_tables(omega: float = 1.0, r: float = 0.5) -> TableCheckReport:
     """Compare every generated stage against its reference table.
 
     Any r in (0, 1) exposes the missing-r entries; the default is 0.5.
@@ -263,9 +258,9 @@ def check_tables(omega: float = 1.0, r: float = 0.5, duration: float = 4.0) -> T
     params = PhysicalParams.from_ratios(omega, r)
     entries = []
     for kind in PROTOCOL_KINDS:
-        stages = builtin_protocol(kind, params, stage_time=duration).stages
+        stages = builtin_protocol(kind, params).stages
         for index, stage in enumerate(stages, start=1):
-            mismatches = compare_stages(stage, reference_stage(kind, index, omega, r, duration))
+            mismatches = compare_stages(stage, reference_stage(kind, index, omega, r))
             notes = KNOWN_DISCREPANCIES.get((kind, index), ())
             entries.append(
                 TableCheckEntry(

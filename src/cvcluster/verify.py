@@ -34,14 +34,20 @@ class ClusterGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.asarray(self.adjacency)
         if adj.shape != (4, 4):
             raise InvalidParameterError(f"adjacency must be 4 x 4, got {adj.shape}")
+        bad = np.argwhere((adj != 0) & (adj != 1))
+        if bad.size:
+            a, b = bad[0]
+            raise InvalidParameterError(
+                f"adjacency entry ({a}, {b}) must be 0, 1 or a bool, got {adj[a, b].item()!r}"
+            )
+        adj = adj.astype(bool)
         if not (adj == adj.T).all():
             raise InvalidParameterError("adjacency must be symmetric")
         if adj.diagonal().any():
             raise InvalidParameterError("adjacency must have a zero diagonal")
-        adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 
@@ -72,22 +78,12 @@ def nullifier_coefficients(graph: ClusterGraph, node: int) -> np.ndarray:
     return w
 
 
-def nullifier_labels(graph: ClusterGraph) -> list[str]:
-    """Human-readable combinations, e.g. 'p2 - q1 - q3' (1-based nodes)."""
-    out = []
-    for a in range(graph.n_nodes):
-        terms = [f"p{a + 1}"] + [f"q{b + 1}" for b in graph.neighbors(a)]
-        out.append(" - ".join(terms))
-    return out
-
-
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> np.ndarray:
-    """Second moment <n_a^2> of every nullifier (variance plus mean squared).
+    """Variance w^T sigma w of every nullifier n_a = w . x.
 
     Reads the quadratures of the non-cavity modes straight from the state's
-    mean and covariance, so the cavity, wherever it sits, is traced out
-    without building the marginal state.  For the zero-mean states produced
-    by the protocols this is exactly the variance w^T sigma w.
+    covariance, so the cavity, wherever it sits, is traced out without
+    building the marginal state.
     """
     idx = [i for i in range(2 * state.n_modes) if state.mode_labels[i // 2] != "cavity"]
     if len(idx) != 2 * graph.n_nodes:
@@ -95,33 +91,29 @@ def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> np.ndarray
             f"state has {len(idx) // 2} non-cavity modes, graph needs {graph.n_nodes}"
         )
     cov = state.cov[np.ix_(idx, idx)]
-    mean = state.mean[idx]
     out = np.empty(graph.n_nodes)
     for a in range(graph.n_nodes):
         w = nullifier_coefficients(graph, a)
-        out[a] = w @ cov @ w + (w @ mean) ** 2
+        out[a] = w @ cov @ w
     return out
 
 
-def analytic_targets(kind: str, xi: float) -> np.ndarray:
+def analytic_targets(graph: ClusterGraph, xi: float) -> np.ndarray:
     """Expected nullifier variances at squeezing xi: vacuum values times e^{-2 xi}."""
-    if xi < 0:
+    if not xi >= 0:
         raise InvalidParameterError(f"xi must be nonnegative, got {xi}")
-    return vacuum_targets(kind) * math.exp(-2.0 * xi)
+    return vacuum_targets(graph) * math.exp(-2.0 * xi)
 
 
-def vacuum_targets(kind: str) -> np.ndarray:
+def vacuum_targets(graph: ClusterGraph) -> np.ndarray:
     """Nullifier variances of the vacuum: 1/2 per quadrature in n_a, (1 + deg a) / 2."""
-    return 0.5 * (1 + builtin_graph(kind).adjacency.sum(axis=1))
+    return 0.5 * (1 + graph.adjacency.sum(axis=1))
 
 
 @dataclass(frozen=True)
 class VarianceReport:
     """Per-node nullifier variances against their analytic targets."""
 
-    kind: str
-    xi: float
-    tolerance: float
     variances: np.ndarray
     targets: np.ndarray
     vacuum: np.ndarray
@@ -138,22 +130,18 @@ class VarianceReport:
 SQUEEZING_MARGIN = 1e-10
 
 
-def is_cluster(state: GaussianState, kind: str, xi: float, tol: float) -> VarianceReport:
+def is_cluster(state: GaussianState, graph: ClusterGraph, xi: float, tol: float) -> VarianceReport:
     """Pass iff every nullifier sits within ``tol`` of its target and is
     genuinely squeezed: strictly below its vacuum value by more than
     SQUEEZING_MARGIN, so rounding noise cannot fake squeezing and an
     unsqueezed state never passes however generous ``tol`` is."""
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    graph = builtin_graph(kind)
     variances = nullifier_variances(state, graph)
-    targets = analytic_targets(kind, xi)
-    vacuum = vacuum_targets(kind)
+    targets = analytic_targets(graph, xi)
+    vacuum = vacuum_targets(graph)
     node_passed = (np.abs(variances - targets) <= tol) & (variances < vacuum - SQUEEZING_MARGIN)
     return VarianceReport(
-        kind=kind,
-        xi=xi,
-        tolerance=tol,
         variances=variances,
         targets=targets,
         vacuum=vacuum,

@@ -19,7 +19,7 @@ from cvcluster import (
     integrate_two_mode,
     two_mode_drift_diffusion,
 )
-from cvcluster.fock import _liouvillian, _simplex, destroy, quadrature_operators
+from cvcluster.fock import LEAKAGE_GUARD, _liouvillian, _simplex, destroy, quadrature_operators
 
 
 def vacuum_rho(dim):
@@ -95,7 +95,7 @@ def reference_expm(config, states):
     for _ in range(steps):
         vec = propagator @ vec
         leakage = float(vec.reshape(index.size, index.size).diagonal().real[boundary].sum())
-        if leakage > config.leakage_guard:
+        if leakage > LEAKAGE_GUARD:
             raise CutoffTooSmallError("reference reached the truncation boundary", leakage)
     return on_square_basis(config, index, vec), leakage
 
@@ -157,6 +157,10 @@ def test_unphysical_density_matrices_rejected():
     rho = np.diag([1.4, -0.4, 0, 0, 0]).astype(complex)
     with pytest.raises(UnphysicalStateError):
         covariance_from_density(rho, (5,))
+    rho = np.zeros((5, 5), dtype=complex)
+    rho[np.ix_([1, 3], [1, 3])] = [[0.5, 0.7j], [-0.7j, 0.5]]  # eigenvalues 1.2, -0.2
+    with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+        covariance_from_density(rho, (5,))  # between zero rows, which the check skips
     with pytest.raises(InvalidParameterError):
         covariance_from_density(vacuum_rho(5), (6,))
 
@@ -169,8 +173,6 @@ def test_config_validation():
         FockConfig(beta=1, r=0.5, kappa=1, t_final=1, cutoff_a=3)
     with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=1.0, kappa=1, t_final=1)
-    with pytest.raises(InvalidParameterError):
-        FockConfig(beta=1, r=0.5, kappa=1, t_final=1, leakage_guard=0.0)
 
 
 @pytest.mark.parametrize("value", [6.5, 6.0, True, "6", None])

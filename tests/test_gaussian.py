@@ -70,16 +70,15 @@ def test_quadratic_hamiltonian_validation():
 def test_gaussian_state_symmetrizes_and_validates():
     cov = 0.5 * np.eye(2)
     cov[0, 1] = 1e-13  # tiny asymmetry is symmetrised away
-    state = GaussianState(("m",), np.zeros(2), cov)
+    state = GaussianState(("m",), cov)
     assert_allclose(state.cov, state.cov.T)
     with pytest.raises(UnphysicalStateError):
-        GaussianState(("m",), np.zeros(2), 0.4 * np.eye(2))
+        GaussianState(("m",), 0.4 * np.eye(2))
 
 
 def test_vacuum_state():
     vac = GaussianState.vacuum(("a", "b"))
     assert_allclose(vac.cov, 0.5 * np.eye(4))
-    assert_allclose(vac.mean, 0.0)
     assert vac.mode_labels == ("a", "b")
 
 
@@ -139,12 +138,11 @@ def test_evolve_vacuum_is_fixed_point_of_decay():
     vac = GaussianState.vacuum(("a",))
     out = evolve(vac, dd, 3.21)
     assert_allclose(out.cov, vac.cov, atol=1e-14)
-    assert_allclose(out.mean, 0.0, atol=1e-14)
 
 
 def test_evolve_relaxation_to_vacuum():
     dd = drift_diffusion(QuadraticHamiltonian(np.zeros((1, 1)), np.zeros((1, 1))), [1.0])
-    hot = GaussianState(("a",), np.zeros(2), 1.5 * np.eye(2))
+    hot = GaussianState(("a",), 1.5 * np.eye(2))
     out = evolve(hot, dd, 60.0)
     assert_allclose(out.cov, 0.5 * np.eye(2), atol=1e-12)
 
@@ -172,20 +170,14 @@ def test_evolve_matches_ode_oracle_on_ten_by_ten():
         t_final = 0.9
 
         def rhs(_, y):
-            sigma = y[:100].reshape(10, 10)
-            dsig = dd.A @ sigma + sigma @ dd.A.T + dd.D
-            dmean = dd.A @ y[100:]
-            return np.concatenate([dsig.reshape(-1), dmean])
+            sigma = y.reshape(10, 10)
+            return (dd.A @ sigma + sigma @ dd.A.T + dd.D).reshape(-1)
 
-        mean0 = rng.normal(size=10) * 0.3
-        state = GaussianState(state.mode_labels, mean0, state.cov)
-        y0 = np.concatenate([state.cov.reshape(-1), mean0])
+        y0 = state.cov.reshape(-1)
         sol = solve_ivp(rhs, (0.0, t_final), y0, rtol=1e-12, atol=1e-13, dense_output=False)
-        ref_cov = sol.y[:100, -1].reshape(10, 10)
-        ref_mean = sol.y[100:, -1]
+        ref_cov = sol.y[:, -1].reshape(10, 10)
         out = evolve(state, dd, t_final)
         assert np.abs(out.cov - ref_cov).max() < 1e-9
-        assert np.abs(out.mean - ref_mean).max() < 1e-9
 
 
 def test_evolve_semigroup_property():
@@ -233,7 +225,7 @@ def block_expm_reference(dd, t):
 
 def test_evolve_matches_scipy_block_expm_on_random_stages():
     """Every stage of 60 random protocols (240 stages), from a random mixed
-    state with a random mean.  Stage times stay at or below 8 and r at or
+    state.  Stage times stay at or below 8 and r at or
     below 0.8: on longer, more strongly squeezed stages the block reference
     itself loses digits to cancellation."""
     rng = np.random.default_rng(12)
@@ -247,16 +239,11 @@ def test_evolve_matches_scipy_block_expm_on_random_stages():
             dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0, 5))
             t = rng.uniform(0.05, 8.0)
             b = rng.normal(size=(10, 10)) * 0.3
-            state = GaussianState(tuple("abcde"), rng.normal(size=10), 0.5 * np.eye(10) + b @ b.T)
+            state = GaussianState(tuple("abcde"), 0.5 * np.eye(10) + b @ b.T)
             prop, acc = block_expm_reference(dd, t)
             ref_cov = prop @ state.cov @ prop.T + acc
-            ref_mean = prop @ state.mean
             out = evolve(state, dd, t)
-            worst = max(
-                worst,
-                np.abs(out.cov - ref_cov).max() / np.abs(ref_cov).max(),
-                np.abs(out.mean - ref_mean).max() / np.abs(ref_mean).max(),
-            )
+            worst = max(worst, np.abs(out.cov - ref_cov).max() / np.abs(ref_cov).max())
     assert worst <= 1e-11
 
 
@@ -379,7 +366,6 @@ def test_transform_round_trip():
     state = evolve(GaussianState.vacuum(tuple("wxyz")), dd, 0.6)
     back = apply_mode_transform(apply_mode_transform(state, u), u.conj().T)
     assert np.abs(back.cov - state.cov).max() < 1e-12
-    assert np.abs(back.mean - state.mean).max() < 1e-12
 
 
 def test_transform_preserves_symplectic_spectrum_and_purity():

@@ -247,3 +247,19 @@ def test_convergence_eigenvalues_validation():
         convergence_eigenvalues(-1.0, 0.5, 1.0)
     with pytest.raises(InvalidParameterError):
         convergence_eigenvalues(1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("kappa", (1.0, 0.5, math.nan)),
+        ("kappa", (1.0, 0.5, math.inf)),
+        ("beta", (math.nan, 0.5, 1.0)),
+        ("beta", (math.inf, 0.5, 1.0)),
+        ("r", (1.0, math.nan, 1.0)),
+    ],
+)
+def test_convergence_eigenvalues_reject_non_finite_numbers(field, args):
+    """A NaN or infinite input names its field instead of reading as a regime."""
+    with pytest.raises(InvalidParameterError, match=field):
+        convergence_eigenvalues(*args)

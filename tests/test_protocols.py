@@ -34,7 +34,7 @@ S10 = math.sqrt(10.0)
 
 def exact_targets(kind, r):
     # e^{-2 atanh r} = (1 - r) / (1 + r)
-    return vacuum_targets(kind) * (1.0 - r) / (1.0 + r)
+    return vacuum_targets(builtin_graph(kind)) * (1.0 - r) / (1.0 + r)
 
 
 # ------------------------------------------------------------------ transforms

@@ -26,7 +26,6 @@ def test_reference_linear_stage_three_literal_values():
     assert st.phi_s[2] == pytest.approx(0.5 * PI)
     assert st.phi_u[3] == pytest.approx(PI)
     assert st.phi_s[3] == pytest.approx(PI)
-    assert st.verbatim
 
 
 def test_reference_square_stage_two_literal_values():

@@ -1,5 +1,6 @@
 """Tests for graphs, nullifier variances and cluster verification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,22 @@ from cvcluster import (
     builtin_protocol,
     is_cluster,
     nullifier_coefficients,
-    nullifier_labels,
     nullifier_variances,
     run_protocol,
     vacuum_targets,
 )
 
 KINDS = ("linear", "square", "tshape")
+PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+def all_graphs():
+    """The 64 graphs on four nodes, one per subset of the six node pairs."""
+    for mask in range(2 ** len(PAIRS)):
+        adj = np.zeros((4, 4), dtype=bool)
+        for bit, (a, b) in enumerate(PAIRS):
+            adj[a, b] = adj[b, a] = bool(mask >> bit & 1)
+        yield ClusterGraph(adj)
 
 
 def test_builtin_graph_neighborhoods():
@@ -44,25 +54,20 @@ def test_graph_validation():
         ClusterGraph(loop)
 
 
-def test_nullifier_labels_match_printed_combinations():
-    assert nullifier_labels(builtin_graph("linear")) == [
-        "p1 - q2",
-        "p2 - q1 - q3",
-        "p3 - q2 - q4",
-        "p4 - q3",
-    ]
-    assert nullifier_labels(builtin_graph("square")) == [
-        "p1 - q3 - q4",
-        "p2 - q3 - q4",
-        "p3 - q1 - q2",
-        "p4 - q1 - q2",
-    ]
-    assert nullifier_labels(builtin_graph("tshape")) == [
-        "p1 - q2 - q3 - q4",
-        "p2 - q1",
-        "p3 - q1",
-        "p4 - q1",
-    ]
+@pytest.mark.parametrize("value", [0.5, -3.0, 2.0, math.nan, math.inf])
+def test_graph_rejects_entries_other_than_zero_and_one(value):
+    """A weight would otherwise turn into a unit edge and the nullifiers would
+    test a different graph."""
+    adj = builtin_graph("linear").adjacency.astype(float)
+    adj[1, 2] = adj[2, 1] = value
+    with pytest.raises(InvalidParameterError, match=r"entry \(1, 2\)"):
+        ClusterGraph(adj)
+
+
+def test_graph_accepts_integer_and_float_zero_one_entries():
+    edges = builtin_graph("square").adjacency
+    for adj in (edges.astype(int), edges.astype(float)):
+        assert (ClusterGraph(adj).adjacency == edges).all()
 
 
 def test_nullifier_coefficients_vector():
@@ -77,16 +82,27 @@ def test_nullifier_coefficients_vector():
 @pytest.mark.parametrize("kind", KINDS)
 def test_vacuum_variances(kind):
     vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
-    assert_allclose(nullifier_variances(vac, builtin_graph(kind)), vacuum_targets(kind), atol=1e-14)
+    graph = builtin_graph(kind)
+    assert_allclose(nullifier_variances(vac, graph), vacuum_targets(graph), atol=1e-14)
 
 
 def test_vacuum_targets_are_half_of_one_plus_degree():
     """(1 + deg a) / 2, exact in binary floating point."""
-    assert vacuum_targets("linear").tolist() == [1.0, 1.5, 1.5, 1.0]
-    assert vacuum_targets("square").tolist() == [1.5, 1.5, 1.5, 1.5]
-    assert vacuum_targets("tshape").tolist() == [2.0, 1.0, 1.0, 1.0]
-    with pytest.raises(InvalidParameterError):
-        vacuum_targets("pentagon")
+    assert vacuum_targets(builtin_graph("linear")).tolist() == [1.0, 1.5, 1.5, 1.0]
+    assert vacuum_targets(builtin_graph("square")).tolist() == [1.5, 1.5, 1.5, 1.5]
+    assert vacuum_targets(builtin_graph("tshape")).tolist() == [2.0, 1.0, 1.0, 1.0]
+
+
+def test_every_four_node_graph_keys_its_own_targets():
+    """Over all 64 graphs: the vacuum sits at vacuum_targets, the targets at
+    squeezing xi are those times e^{-2 xi}, and the vacuum is no cluster."""
+    vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
+    xi = 0.3
+    for graph in all_graphs():
+        vacuum = vacuum_targets(graph)
+        assert_allclose(nullifier_variances(vac, graph), vacuum, rtol=0, atol=1e-14)
+        assert_allclose(analytic_targets(graph, xi), vacuum * math.exp(-2 * xi), rtol=1e-15)
+        assert not is_cluster(vac, graph, xi, tol=10.0).passed
 
 
 def test_cavity_is_marginalised_out():
@@ -106,15 +122,13 @@ def test_cavity_anywhere_is_traced_out():
     f = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     dd = drift_diffusion(QuadraticHamiltonian(f + f.conj().T, g + g.T), rng.uniform(0.1, 2.0, 5))
-    start = GaussianState(labels, rng.normal(size=10), 0.5 * np.eye(10))
-    state = evolve(start, dd, 0.7)
-    assert np.abs(state.mean).min() > 0 and np.abs(state.cov - 0.5 * np.eye(10)).max() > 0.1
+    state = evolve(GaussianState.vacuum(labels), dd, 0.7)
+    assert np.abs(state.cov - 0.5 * np.eye(10)).max() > 0.1
     marginal = state.marginal(("e1", "e2", "e3", "e4"))
     for kind in KINDS:
         graph = builtin_graph(kind)
         expected = [
-            w @ marginal.cov @ w + (w @ marginal.mean) ** 2
-            for w in (nullifier_coefficients(graph, a) for a in range(4))
+            w @ marginal.cov @ w for w in (nullifier_coefficients(graph, a) for a in range(4))
         ]
         assert nullifier_variances(state, graph).tolist() == expected
 
@@ -124,60 +138,55 @@ def test_dimension_mismatch_rejected():
         nullifier_variances(GaussianState.vacuum(("a", "b", "c")), builtin_graph("linear"))
 
 
-def test_mean_offset_contributes():
-    n = 4
-    mean = np.zeros(2 * n)
-    mean[1] = 0.7  # displace p1, which enters only the first nullifier
-    state = GaussianState(("e1", "e2", "e3", "e4"), mean, 0.5 * np.eye(2 * n))
-    values = nullifier_variances(state, builtin_graph("linear"))
-    assert values[0] == pytest.approx(1.0 + 0.7**2)
-    assert values[1] == pytest.approx(1.5)
-
-
 def test_analytic_targets_values():
     for kind in KINDS:
-        assert_allclose(analytic_targets(kind, 0.0), vacuum_targets(kind), atol=1e-15)
+        graph = builtin_graph(kind)
+        assert_allclose(analytic_targets(graph, 0.0), vacuum_targets(graph), atol=1e-15)
     xi = math.atanh(0.5)
-    assert_allclose(analytic_targets("linear", xi), [1 / 3, 0.5, 0.5, 1 / 3], atol=1e-14)
-    assert analytic_targets("square", 20.0).max() < 1e-8
+    linear = builtin_graph("linear")
+    assert_allclose(analytic_targets(linear, xi), [1 / 3, 0.5, 0.5, 1 / 3], atol=1e-14)
+    assert analytic_targets(builtin_graph("square"), 20.0).max() < 1e-8
     with pytest.raises(InvalidParameterError):
-        analytic_targets("linear", -0.1)
+        analytic_targets(linear, -0.1)
+    with pytest.raises(InvalidParameterError, match="xi"):
+        analytic_targets(linear, math.nan)
 
 
 def test_analytic_targets_decrease_with_squeezing():
     grid = np.linspace(0.0, 2.0, 9)
     for kind in KINDS:
-        values = np.array([analytic_targets(kind, x) for x in grid])
+        values = np.array([analytic_targets(builtin_graph(kind), x) for x in grid])
         assert (np.diff(values, axis=0) < 0).all()
 
 
 def test_is_cluster_accepts_exact_protocol_output():
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    run = run_protocol(builtin_protocol("linear", params), params)
-    report = is_cluster(run.final_state, "linear", params.xi, tol=1e-6)
+    protocol = builtin_protocol("linear", params)
+    run = run_protocol(protocol, params)
+    report = is_cluster(run.final_state, protocol.graph, params.xi, tol=1e-6)
     assert report.passed
     assert report.node_passed.all()
 
 
 def test_is_cluster_rejects_vacuum_at_positive_squeezing():
     vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
-    report = is_cluster(vac, "square", 0.3, tol=10.0)
+    report = is_cluster(vac, builtin_graph("square"), 0.3, tol=10.0)
     assert not report.passed  # generous tolerance must not rescue an unsqueezed state
 
 
 def test_is_cluster_accepts_time_domain_output():
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    run = run_protocol(
-        builtin_protocol("tshape", params), params, method="time_domain", stage_time=4.0
-    )
-    report = is_cluster(run.final_state, "tshape", params.xi, tol=0.05)
+    protocol = builtin_protocol("tshape", params)
+    run = run_protocol(protocol, params, method="time_domain", stage_time=4.0)
+    report = is_cluster(run.final_state, protocol.graph, params.xi, tol=0.05)
     assert report.passed
 
 
 def test_is_cluster_requires_positive_tolerance():
     vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
-    with pytest.raises(InvalidParameterError):
-        is_cluster(vac, "linear", 0.1, tol=0.0)
+    for tol in (0.0, math.nan):  # NaN raises instead of failing every node
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            is_cluster(vac, builtin_graph("linear"), 0.1, tol=tol)
 
 
 def test_variances_nonnegative_for_random_states():
