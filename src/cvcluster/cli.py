@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,12 +59,14 @@ def _require_finite(field: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run default; ``validate`` fills in the method's default ``tol``."""
+
     protocol: str
-    r: float
-    beta: float
-    stage_time: float
-    method: str  # "lyapunov" | "ode"
-    tol: float
+    r: float = 0.5
+    beta: float = 2.5
+    stage_time: float = 4.0
+    method: str = "lyapunov"  # "lyapunov" | "ode"
+    tol: float | None = None
     oracle: bool = False
     oracle_cutoff: int = 20
 
@@ -75,7 +77,7 @@ class RunConfig:
             ("beta", numbers.Real, "a number"),
             ("stage_time", numbers.Real, "a number"),
             ("method", str, "a string"),
-            ("tol", numbers.Real, "a number"),
+            ("tol", (numbers.Real, type(None)), "a number"),
             ("oracle", bool, "a boolean"),
             ("oracle_cutoff", numbers.Integral, "an integer"),
         ):
@@ -84,7 +86,7 @@ class RunConfig:
                 raise ConfigError(f"field {field!r}: must be {name}, got {value!r}")
         if self.protocol not in PROTOCOL_KINDS:
             raise ConfigError(f"field 'protocol': unknown value {self.protocol!r}")
-        for field in ("r", "beta", "stage_time", "tol"):
+        for field in ("r", "beta", "stage_time"):
             _require_finite(field, getattr(self, field))
         if not 0.0 <= self.r < 1.0:
             raise ConfigError(f"field 'r': must lie in [0, 1), got {self.r}")
@@ -94,11 +96,13 @@ class RunConfig:
             raise ConfigError(f"field 'stage_time': must be positive, got {self.stage_time}")
         if self.method not in _METHODS:
             raise ConfigError(f"field 'method': must be one of {sorted(_METHODS)}")
-        if self.tol <= 0:
-            raise ConfigError(f"field 'tol': must be positive, got {self.tol}")
+        tol = _DEFAULT_TOL[self.method] if self.tol is None else self.tol
+        _require_finite("tol", tol)
+        if tol <= 0:
+            raise ConfigError(f"field 'tol': must be positive, got {tol}")
         if self.oracle_cutoff < 4:
             raise ConfigError(f"field 'oracle_cutoff': must be at least 4, got {self.oracle_cutoff}")
-        return self
+        return replace(self, tol=tol)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -216,26 +220,10 @@ def _config_from_args(args) -> RunConfig:
         unknown = set(base) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"field 'config': unknown fields {sorted(unknown)}")
-    merged = {
-        "protocol": args.protocol if args.protocol is not None else base.get("protocol"),
-        "r": args.r if args.r is not None else base.get("r", 0.5),
-        "beta": args.beta if args.beta is not None else base.get("beta", 2.5),
-        "stage_time": args.stage_time
-        if args.stage_time is not None
-        else base.get("stage_time", 4.0),
-        "method": args.method if args.method is not None else base.get("method", "lyapunov"),
-        "oracle": args.oracle or base.get("oracle", False),
-        "oracle_cutoff": args.oracle_cutoff
-        if args.oracle_cutoff is not None
-        else base.get("oracle_cutoff", 20),
-    }
-    if merged["protocol"] is None:
+    given = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
+    merged = {**base, **{name: value for name, value in given.items() if value is not None}}
+    if merged.get("protocol") is None:
         raise ConfigError("field 'protocol': required (flag --protocol or config file)")
-    tol = args.tol if args.tol is not None else base.get("tol")
-    if tol is None:
-        # compared, not looked up: a config file's method may be unhashable
-        tol = _DEFAULT_TOL["ode"] if merged["method"] == "ode" else _DEFAULT_TOL["lyapunov"]
-    merged["tol"] = tol
     return RunConfig(**merged).validate()
 
 
@@ -250,19 +238,14 @@ def cmd_run(args) -> int:
     return EXIT_PASS if passed else EXIT_VERDICT_FAIL
 
 
-def _sweep_point(
-    protocol: str, method: str, tol: float, beta: float, r: float, stage_time: float
-) -> dict:
-    config = RunConfig(
-        protocol=protocol, r=r, beta=beta, stage_time=stage_time, method=method, tol=tol
-    ).validate()
+def _sweep_point(config: RunConfig) -> dict:
     payload, passed = _run_once(config)
     final = payload["final"]
     errors = np.array(final["nullifier_variances"]) - np.array(final["analytic_targets"])
     return {
-        "beta": beta,
-        "r": r,
-        "stage_time": stage_time,
+        "beta": config.beta,
+        "r": config.r,
+        "stage_time": config.stage_time,
         "max_abs_error": float(np.abs(errors).max()),
         "slow_regime": any(stage["slow_regime"] for stage in payload["stages"]),
         "passed": passed,
@@ -271,33 +254,31 @@ def _sweep_point(
 
 def cmd_sweep(args) -> int:
     try:
-        betas = [float(x) for x in args.beta.split(",") if x.strip()]
-        rs = [float(x) for x in args.r.split(",") if x.strip()]
-        stage_times = [float(x) for x in args.stage_time.split(",") if x.strip()]
+        grid = {
+            field: [float(x) for x in getattr(args, field).split(",") if x.strip()]
+            for field in ("beta", "r", "stage_time")
+        }
     except ValueError as exc:
         raise ConfigError(f"grid values must be numbers: {exc}") from exc
-    if not betas or not rs or not stage_times:
+    if not all(grid.values()):
         raise ConfigError("field 'beta'/'r'/'stage_time': sweep grid must be nonempty")
     if args.protocol is None:
         raise ConfigError("field 'protocol': required")
-    method = args.method if args.method is not None else "ode"
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[method]
+    base = RunConfig(args.protocol, method=args.method, tol=args.tol).validate()
     rows = [
-        _sweep_point(args.protocol, method, tol, b, r, t)
-        for b in betas
-        for r in rs
-        for t in stage_times
+        _sweep_point(replace(base, beta=b, r=r, stage_time=t).validate())
+        for b in grid["beta"]
+        for r in grid["r"]
+        for t in grid["stage_time"]
     ]
     doc = _document(
         "sweep",
         {
             "resolved_config": {
-                "protocol": args.protocol,
-                "beta": betas,
-                "r": rs,
-                "stage_time": stage_times,
-                "method": method,
-                "tol": tol,
+                "protocol": base.protocol,
+                **grid,
+                "method": base.method,
+                "tol": base.tol,
             },
             "rows": rows,
         },
@@ -393,13 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stage-time", type=float, default=None, help="per-stage time, units 1/kappa")
     run.add_argument("--method", choices=sorted(_METHODS), default=None)
     run.add_argument("--tol", type=float, default=None, help="verdict tolerance per nullifier")
-    run.add_argument("--oracle", action="store_true", help="add the number-basis cross-check")
+    run.add_argument(
+        "--oracle", action="store_true", default=None, help="add the number-basis cross-check"
+    )
     run.add_argument(
         "--oracle-cutoff",
         type=int,
         default=None,
         help="largest photon number per mode of the oracle's basis, which keeps "
-        "n_a + n_d <= cutoff (default 20)",
+        f"n_a + n_d <= cutoff (default {RunConfig.oracle_cutoff})",
     )
     run.add_argument("--config", default=None, help="JSON config or previous result document")
     run.add_argument("--out", default=None, help="output path (stdout when omitted)")
@@ -407,10 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid over beta, r and stage time")
     sweep.add_argument("--protocol", choices=PROTOCOL_KINDS, default=None)
-    sweep.add_argument("--beta", default="2.5", help="comma-separated values")
-    sweep.add_argument("--r", default="0.5", help="comma-separated values")
-    sweep.add_argument("--stage-time", default="4", help="comma-separated values")
-    sweep.add_argument("--method", choices=sorted(_METHODS), default=None)
+    sweep.add_argument("--beta", default=str(RunConfig.beta), help="comma-separated values")
+    sweep.add_argument("--r", default=str(RunConfig.r), help="comma-separated values")
+    sweep.add_argument(
+        "--stage-time", default=str(RunConfig.stage_time), help="comma-separated values"
+    )
+    sweep.add_argument("--method", choices=sorted(_METHODS), default="ode")
     sweep.add_argument("--tol", type=float, default=None)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)

@@ -133,11 +133,6 @@ def covariance_from_density(rho: np.ndarray, dims) -> np.ndarray:
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise InvalidParameterError(f"rho must be {total} x {total} for dims {dims}")
-    return _moments(rho, dims)[1]
-
-
-def _moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated quadrature means and covariance of a density matrix."""
     if abs(np.trace(rho) - 1.0) > 1e-8:
         raise UnphysicalStateError(f"trace(rho) = {complex(np.trace(rho))!r}, expected 1")
     if np.abs(rho - rho.conj().T).max() > 1e-8:
@@ -162,7 +157,7 @@ def _moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.nda
             # Re <x_j x_i> is the symmetrised moment for Hermitian operators
             sym = expectation(quads[j] @ quads[i])
             cov[i, j] = cov[j, i] = sym - means[i] * means[j]
-    return means, cov
+    return cov
 
 
 def _simplex(cutoff_a: int, cutoff_d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +240,16 @@ def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, 
 
 @dataclass(frozen=True)
 class FockResult:
-    """Density matrix and Gaussian-layer-compatible moments.
+    """Density matrix and its Gaussian-layer-compatible covariance.
+
+    The quadrature means are exactly 0: each quadrature links entries of
+    opposite parity, which the integrated sector never fills.
 
     ``steps`` equal steps of ``dt``, each the exact propagator exp(dt L),
     took the state to ``t_final``.
     """
 
     rho: np.ndarray
-    mean: np.ndarray
     covariance: np.ndarray
     trace_error: float
     leakage: float
@@ -308,11 +305,9 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     rho = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
     rho[np.ix_(basis, basis)] = phase * gauged
     trace_error = abs(np.trace(rho).real - 1.0)
-    mean, cov = _moments(rho, dims)
     return FockResult(
         rho=rho,
-        mean=mean,
-        covariance=cov,
+        covariance=covariance_from_density(rho, dims),
         trace_error=trace_error,
         leakage=leakage,
         steps=n_steps,

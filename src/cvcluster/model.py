@@ -1,4 +1,4 @@
-"""Physical model: laser/cavity parameters to effective quadratic dynamics.
+"""Physical model: the operating point (beta, r, kappa) to effective quadratic dynamics.
 
 Four atomic ensembles sit in a single-mode ring cavity.  Each ensemble j is
 driven by two laser fields with Rabi amplitudes Omega_u_j, Omega_s_j and
@@ -9,9 +9,11 @@ each ensemble behaves as a bosonic mode c_j, and the interaction reduces to
                                       + Omega_s_j (e^{i phi_s_j} a^dag c_j^dag + h.c.) ]
 
 i.e. tunable beam-splitter and squeezing couplings between the cavity mode
-``a`` and the ensemble modes.  All protocol-level quantities depend only on
-the ratios beta/kappa and r, with beta = sqrt(N) g Omega / Delta; SI units
-enter only through the two estimator helpers at the bottom.
+``a`` and the ensemble modes.  Rabi amplitudes are measured in units of
+Delta / (sqrt(N) g), so the prefactor is 1/2 and the coupling scale
+beta = sqrt(N) g Omega / Delta is the amplitude scale Omega itself.  Every
+protocol quantity then depends only on beta/kappa and r; SI units enter
+only through the two estimator helpers at the bottom.
 
 Cavity decay convention: ``kappa`` is the field (amplitude) decay rate, half
 the photon-number decay rate.  The matching Lindblad dissipator is therefore
@@ -45,46 +47,34 @@ def _require_finite(name: str, value: float) -> None:
 class PhysicalParams:
     """Operating point of the cavity-ensemble system.
 
-    g : atom-cavity coupling (rate); delta : laser detuning from the atomic
-    lines (rate); n_atoms : atoms per ensemble; kappa : cavity field decay
-    (rate); omega : Rabi-amplitude scale (rate); r : squeezing-drive to
-    beam-splitter-drive ratio, in [0, 1).  r = 0 switches the squeezing
-    drives off (useful for diagnostics; the protocols then prepare vacuum).
+    beta : collective coupling scale sqrt(N) g Omega / Delta (rate); r :
+    squeezing-drive to beam-splitter-drive ratio, in [0, 1); kappa : cavity
+    field decay (rate).  r = 0 switches the squeezing drives off (useful
+    for diagnostics; the protocols then prepare vacuum).
     """
 
-    g: float
-    delta: float
-    n_atoms: int
-    kappa: float
-    omega: float
+    beta: float
     r: float
+    kappa: float
 
     def __post_init__(self):
-        for name in ("g", "delta", "n_atoms", "kappa", "omega", "r"):
+        for name in ("beta", "r", "kappa"):
             _require_finite(name, getattr(self, name))
-        for name in ("g", "delta", "kappa", "omega"):
+        for name in ("beta", "kappa"):
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_atoms < 1:
-            raise InvalidParameterError(f"n_atoms must be at least 1, got {self.n_atoms}")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
-        # finite inputs can still overflow the derived coupling scales
-        for name in ("beta", "hamiltonian_prefactor"):
-            _require_finite(name, getattr(self, name))
 
     @classmethod
     def from_ratios(cls, beta: float, r: float, kappa: float = 1.0) -> "PhysicalParams":
         """Dimensionless operating point with the given beta/kappa and r."""
-        _require_finite("beta", beta)
-        if beta <= 0:
-            raise InvalidParameterError(f"beta must be positive, got {beta}")
-        return cls(g=1.0, delta=1.0, n_atoms=1, kappa=kappa, omega=beta, r=r)
+        return cls(beta, r, kappa)
 
     @property
-    def beta(self) -> float:
-        """Collective coupling scale beta = sqrt(N) g Omega / Delta."""
-        return math.sqrt(self.n_atoms) * self.g * self.omega / self.delta
+    def omega(self) -> float:
+        """Rabi-amplitude scale, beta in units of Delta / (sqrt(N) g)."""
+        return self.beta
 
     @property
     def xi(self) -> float:
@@ -93,8 +83,8 @@ class PhysicalParams:
 
     @property
     def hamiltonian_prefactor(self) -> float:
-        """sqrt(N) g / (2 Delta), multiplying every Rabi amplitude."""
-        return math.sqrt(self.n_atoms) * self.g / (2.0 * self.delta)
+        """sqrt(N) g / (2 Delta), multiplying every Rabi amplitude: 1/2 in these units."""
+        return 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +218,10 @@ def cavity_decay_from_finesse(finesse: float, round_trip_length: float) -> float
 
     kappa = 2 pi * FSR / finesse with FSR = c / L.
     """
-    if finesse <= 0 or round_trip_length <= 0:
-        raise InvalidParameterError("finesse and round_trip_length must be positive")
+    for name, value in (("finesse", finesse), ("round_trip_length", round_trip_length)):
+        _require_finite(name, value)
+        if value <= 0:
+            raise InvalidParameterError(f"{name} must be positive, got {value}")
     fsr = SPEED_OF_LIGHT / round_trip_length
     return TWO_PI * fsr / finesse
 
@@ -239,6 +231,8 @@ def effective_spontaneous_rate(gamma_over_2pi: float, drive_ratio: float) -> flo
 
     gamma_eff = (1/4) (gamma / 2 pi) (Omega / Delta)^2.
     """
-    if gamma_over_2pi < 0 or drive_ratio < 0:
-        raise InvalidParameterError("inputs must be nonnegative")
+    for name, value in (("gamma_over_2pi", gamma_over_2pi), ("drive_ratio", drive_ratio)):
+        _require_finite(name, value)
+        if value < 0:
+            raise InvalidParameterError(f"{name} must be nonnegative, got {value}")
     return 0.25 * gamma_over_2pi * drive_ratio**2

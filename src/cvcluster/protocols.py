@@ -149,8 +149,8 @@ def stage_from_mode_vector(v, omega: float, r: float, duration: float) -> PulseS
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > UNITARITY_TOL:
         raise InvalidParameterError(f"mode vector must be normalised, |v| = {float(norm)!r}")
-    if omega <= 0:
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise InvalidParameterError(f"omega must be positive and finite, got {omega}")
     if not 0.0 <= r < 1.0:
         raise InvalidParameterError(f"r must lie in [0, 1), got {r}")
     angles = np.where(np.abs(v) > 0, np.angle(v), 0.0)
@@ -278,11 +278,11 @@ class ProtocolRun:
 def _stage_coupling(
     stage: PulseStage, transform: ModeTransform, params: PhysicalParams
 ) -> tuple[int, complex, complex]:
-    """Target mode of a protocol stage and its couplings (bs, sq) under ``params``.
+    """Target mode of a protocol stage and its couplings (bs, sq).
 
-    ``Protocol`` guarantees a single target, and ``params`` only rescales
-    every coupling by the positive ``hamiltonian_prefactor``, so the target
-    found at construction is the target here.
+    The couplings depend on the stage alone (the Hamiltonian prefactor is
+    1/2 at every operating point), so the single target ``Protocol`` found
+    at construction is the target here.
     """
     report = transformed_coupling(stage, transform, params)
     target = report.target
@@ -330,6 +330,8 @@ def run_protocol(
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
+    if stage_time is not None and not (math.isfinite(stage_time) and stage_time > 0):
+        raise InvalidParameterError(f"stage_time must be positive and finite, got {stage_time}")
     state = GaussianState.vacuum(MODE_LABELS)
     s_ext = protocol.transform.symplectic
     kappa = params.kappa
@@ -363,13 +365,10 @@ def run_protocol(
             cov_d[np.ix_(pair, pair)] = sigma_pair
             state = GaussianState(MODE_LABELS, s_ext.T @ cov_d @ s_ext)
         else:
-            duration = stage_time if stage_time is not None else stage.duration
-            if duration <= 0:
-                raise InvalidParameterError(f"stage_time must be positive, got {duration}")
             dd = drift_diffusion(
                 build_effective_hamiltonian(stage, params), cavity_damping(kappa, 5)
             )
-            state = evolve(state, dd, duration)
+            state = evolve(state, dd, stage_time if stage_time is not None else stage.duration)
         traces.append(
             StageTrace(
                 index=k + 1,

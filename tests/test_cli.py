@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import cvcluster.cli
 import cvcluster.fock
 from cvcluster import UnphysicalStateError
-from cvcluster.cli import main
+from cvcluster.cli import RunConfig, main
 from cvcluster.gaussian import symplectic_eigenvalues
 from cvcluster.protocols import PROTOCOL_KINDS
 
@@ -95,6 +96,15 @@ def test_run_config_errors():
     assert run_cli("run", "--protocol", "linear", "--r", "1.5") == 2
     assert run_cli("run", "--r", "0.5") == 2  # protocol missing
     assert run_cli("run", "--protocol", "linear", "--beta", "-1") == 2
+
+
+def test_run_config_holds_every_run_default():
+    """RunConfig alone defines a run; validate fills in the method's tolerance."""
+    defaults = RunConfig("linear").validate()
+    assert defaults == RunConfig("linear", 0.5, 2.5, 4.0, "lyapunov", 1e-6, False, 20)
+    assert RunConfig("linear", method="ode").validate() == dataclasses.replace(
+        defaults, method="ode", tol=0.05
+    )
 
 
 NOT_A_CONFIG = "field 'config': document does not contain a config object"

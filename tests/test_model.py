@@ -1,5 +1,6 @@
 """Tests for the physical model layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -41,20 +42,15 @@ def random_stage(rng):
 # --------------------------------------------------------------- parameters
 
 
+PARAMS = {"beta": 2.5, "r": 0.5, "kappa": 1.0}
+
+
 def test_params_validation():
-    with pytest.raises(InvalidParameterError):
-        PhysicalParams(g=0.0, delta=1, n_atoms=1, kappa=1, omega=1, r=0.5)
-    with pytest.raises(InvalidParameterError):
-        PhysicalParams(g=1, delta=1, n_atoms=0, kappa=1, omega=1, r=0.5)
-    with pytest.raises(InvalidParameterError):
-        PhysicalParams(g=1, delta=1, n_atoms=1, kappa=1, omega=1, r=1.0)
-    with pytest.raises(InvalidParameterError):
-        PhysicalParams(g=1, delta=1, n_atoms=1, kappa=1, omega=1, r=-0.1)
+    for field, value in (("beta", 0.0), ("beta", -1.0), ("kappa", 0.0), ("r", 1.0), ("r", -0.1)):
+        with pytest.raises(InvalidParameterError, match=f"{field} must"):
+            PhysicalParams(**{**PARAMS, field: value})
     # r = 0 switches squeezing off but is a valid diagnostic point
-    PhysicalParams(g=1, delta=1, n_atoms=1, kappa=1, omega=1, r=0.0)
-
-
-PARAMS = {"g": 1.0, "delta": 1.0, "n_atoms": 1, "kappa": 1.0, "omega": 2.5, "r": 0.5}
+    PhysicalParams(**{**PARAMS, "r": 0.0})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -72,26 +68,16 @@ def test_from_ratios_rejects_non_finite_numbers(value):
         PhysicalParams.from_ratios(2.5, 0.5, kappa=value)
 
 
-@pytest.mark.parametrize(
-    "fields,name",
-    [
-        ({"g": 1e200, "delta": 1e-200, "omega": 1e-300}, "hamiltonian_prefactor"),
-        ({"g": 1e200, "delta": 1.0, "omega": 1e200}, "beta"),
-    ],
-)
-def test_params_reject_overflowing_coupling_scales(fields, name):
-    """Finite inputs whose derived coupling scale overflows are rejected,
-    rather than reaching run_protocol as inf couplings."""
-    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
-        PhysicalParams(**{**PARAMS, **fields})
-
-
 def test_from_ratios_reproduces_beta():
+    """The operating point is (beta, r, kappa).  Rabi amplitudes are in units
+    of Delta / (sqrt(N) g): omega is beta and every amplitude carries the
+    prefactor 1/2."""
+    assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["beta", "r", "kappa"]
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    assert abs(params.beta - 2.5) < 1e-15
+    assert params == PhysicalParams(2.5, 0.5, 1.0)
+    assert (params.beta, params.omega, params.r, params.kappa) == (2.5, 2.5, 0.5, 1.0)
+    assert params.hamiltonian_prefactor == 0.5
     assert abs(params.xi - math.atanh(0.5)) < 1e-15
-    full = PhysicalParams(g=2.0, delta=3.0, n_atoms=4, kappa=1.0, omega=1.7, r=0.3)
-    assert abs(full.beta - math.sqrt(4) * 2.0 * 1.7 / 3.0) < 1e-15
 
 
 def test_pulse_stage_reduces_phases():
@@ -129,7 +115,7 @@ def test_hamiltonian_all_zero_stage():
 
 
 def test_hamiltonian_linear_first_stage_entries():
-    params = PhysicalParams(g=2.0, delta=3.0, n_atoms=4, kappa=1.0, omega=1.7, r=0.3)
+    params = PhysicalParams(beta=1.7, r=0.3, kappa=1.0)
     beta = params.beta
     r = params.r
     st = generated_stage("linear", 1, omega=params.omega, r=r)
@@ -202,6 +188,23 @@ def test_effective_spontaneous_rate_values():
     assert abs(rate - 40.0) / 40.0 < 0.10
     assert effective_spontaneous_rate(6e6, 0.0) == 0.0
     assert abs(effective_spontaneous_rate(6e6, 0.01) - 4 * rate) < 1e-12
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "estimator,field,position",
+    [
+        (cavity_decay_from_finesse, "finesse", 0),
+        (cavity_decay_from_finesse, "round_trip_length", 1),
+        (effective_spontaneous_rate, "gamma_over_2pi", 0),
+        (effective_spontaneous_rate, "drive_ratio", 1),
+    ],
+)
+def test_estimators_reject_non_finite_numbers(estimator, field, position, value):
+    args = [1.0, 1.0]
+    args[position] = value
+    with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+        estimator(*args)
 
 
 # -------------------------------------------------------- convergence spectrum
