@@ -102,6 +102,9 @@ class QuadraticHamiltonian:
             raise InvalidParameterError(
                 f"F and G must be square matrices of equal shape, got {F.shape} and {G.shape}"
             )
+        for name, m in (("F", F), ("G", G)):
+            if not np.isfinite(m).all():
+                raise InvalidParameterError(f"{name} must be finite")
         herm_dev = np.abs(F - F.conj().T).max(initial=0.0)
         if herm_dev > MATRIX_SYMMETRY_TOL:
             raise InvalidParameterError(f"F is not Hermitian (deviation {herm_dev:.3e})")
@@ -147,6 +150,9 @@ class DriftDiffusion:
         D = np.asarray(self.D, dtype=float)
         if A.shape != D.shape or A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
             raise InvalidParameterError(f"A, D must be equal square 2n x 2n, got {A.shape}, {D.shape}")
+        for name, m in (("drift matrix A", A), ("diffusion matrix D", D)):
+            if not np.isfinite(m).all():
+                raise InvalidParameterError(f"{name} must be finite")
         if np.abs(D - D.T).max(initial=0.0) > MATRIX_SYMMETRY_TOL:
             raise InvalidParameterError("diffusion matrix must be symmetric")
         if np.linalg.eigvalsh(D).min() < -1e-12:

@@ -143,23 +143,28 @@ def cavity_damping(kappa: float, n_modes: int = 5) -> np.ndarray:
     kappa is the field decay rate (half-width); the gamma * D[a]
     normalisation used by drift_diffusion therefore takes gamma = 2 kappa.
     """
-    if kappa < 0:
-        raise InvalidParameterError(f"kappa must be nonnegative, got {kappa}")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise InvalidParameterError(f"kappa must be finite and nonnegative, got {kappa}")
     rates = np.zeros(n_modes)
     rates[0] = 2.0 * kappa
     return rates
 
 
-def reduced_drift_diffusion(
-    bs_coupling: complex, sq_coupling: complex, kappa: float
-) -> DriftDiffusion:
-    """Moment generator of the damped cavity + one combined mode d.
+def reduced_drift_diffusion(bs_coupling, sq_coupling, kappa: float) -> DriftDiffusion:
+    """Moment generator of the damped cavity + combined modes d_j.
 
-    H = bs a^dag d + sq a^dag d^dag + h.c., with cavity loss 2 kappa D[a].
+    H = sum_j (bs_j a^dag d_j + sq_j a^dag d_j^dag) + h.c., with cavity loss
+    2 kappa D[a].  Scalars give one mode d, 4-vectors all four (a stage in
+    the combined-mode frame).
     """
-    f = np.array([[0.0, bs_coupling], [np.conj(bs_coupling), 0.0]])
-    g = np.array([[0.0, sq_coupling], [sq_coupling, 0.0]])
-    return drift_diffusion(QuadraticHamiltonian(f, g), cavity_damping(kappa, 2))
+    bs = np.atleast_1d(bs_coupling).astype(complex)
+    sq = np.atleast_1d(sq_coupling).astype(complex)
+    n = bs.size + 1
+    f = np.zeros((n, n), dtype=complex)
+    g = np.zeros((n, n), dtype=complex)
+    f[0, 1:], f[1:, 0] = bs, bs.conj()
+    g[0, 1:] = g[1:, 0] = sq
+    return drift_diffusion(QuadraticHamiltonian(f, g), cavity_damping(kappa, n))
 
 
 def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:

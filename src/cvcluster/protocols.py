@@ -7,7 +7,9 @@ term beta a^dag d and a squeezing term r beta a^dag d^dag, and cavity decay
 then drags that mode into a squeezed vacuum while the other combined modes
 stay untouched.  Four stages later every combined mode is squeezed and the
 ensemble state, read back in the original basis, is the target cluster
-state.
+state.  ``run_protocol`` follows that picture: it holds the state in the
+combined-mode frame for all four stages, under either method, and rotates
+it back to the ensemble basis once.
 
 Stage synthesis: driving ensemble j with amplitude 2 Omega |v_j| (u channel),
 2 r Omega |v_j| (s channel) and phases arg v_j, -arg v_j makes the cavity
@@ -33,7 +35,6 @@ from .errors import InvalidParameterError, NonHurwitzError
 from .gaussian import (
     UNITARITY_TOL,
     GaussianState,
-    drift_diffusion,
     evolve,
     purity,
     steady_state,
@@ -44,11 +45,11 @@ from .model import (
     PhysicalParams,
     PulseStage,
     build_effective_hamiltonian,
-    cavity_damping,
     convergence_eigenvalues,
     reduced_drift_diffusion,
 )
-from .verify import GRAPH_KINDS as PROTOCOL_KINDS, ClusterGraph, builtin_graph, nullifier_variances
+from .verify import GRAPH_KINDS as PROTOCOL_KINDS
+from .verify import ClusterGraph, builtin_graph, nullifier_coefficients
 
 #: Mode labels used by every protocol state (index 0 = cavity).
 MODE_LABELS = ("cavity", "e1", "e2", "e3", "e4")
@@ -275,28 +276,16 @@ class ProtocolRun:
         return self.final_state.marginal(MODE_LABELS[1:])
 
 
-def _stage_coupling(
-    stage: PulseStage, transform: ModeTransform, params: PhysicalParams
-) -> tuple[int, complex, complex]:
-    """Target mode of a protocol stage and its couplings (bs, sq).
-
-    The couplings depend on the stage alone (the Hamiltonian prefactor is
-    1/2 at every operating point), so the single target ``Protocol`` found
-    at construction is the target here.
-    """
-    report = transformed_coupling(stage, transform, params)
-    target = report.target
-    return target, complex(report.beam_splitter[target]), complex(report.squeezing[target])
-
-
-def _stage_convergence(k: int, bs: complex, sq: complex, kappa: float) -> ConvergenceInfo:
-    """Relaxation spectrum of stage k + 1, whose target couplings are (bs, sq).
+def _stage_convergence(k: int, report: CouplingReport, kappa: float) -> ConvergenceInfo:
+    """Relaxation spectrum of stage k + 1, whose target couplings (bs, sq)
+    are read off its coupling report.
 
     The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|.
     Raises NonHurwitzError naming the stage when |sq| >= |bs|: the stage
     squeezes at least as strongly as it swaps, and the pair has no steady
     state.
     """
+    bs, sq = complex(report.beam_splitter[report.target]), complex(report.squeezing[report.target])
     if abs(sq) >= abs(bs):
         eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, kappa).A)
         raise NonHurwitzError(
@@ -314,33 +303,42 @@ def run_protocol(
 ) -> ProtocolRun:
     """Run all four stages starting from the global vacuum.
 
-    ``lyapunov_sequential`` replaces each stage by the exact steady state
-    of the damped cavity + target-mode pair in the combined-mode frame
-    (exact because the stages decouple); ``time_domain`` integrates the
-    full five-mode moment equations for ``stage_time`` per stage (default:
-    each stage's own duration).
+    The stages run in the combined-mode frame sigma_d = S sigma S^T, S =
+    ``transform.symplectic`` (orthogonal, cavity fixed), under the generator
+    ``reduced_drift_diffusion`` builds from each stage's coupling report.
+    ``lyapunov_sequential`` sets the cavity + target-mode pair to its exact
+    steady state (exact because the stages decouple); ``time_domain``
+    evolves the whole generator, no term dropped, for ``stage_time`` per
+    stage (default: each stage's own duration).  The state is rotated back
+    once, after the last stage.
 
-    Each stage validates exactly one state, the new five-mode state (on
-    construction, or inside ``evolve``); its diagnostics read that state's
-    arrays without building marginals.  Raises NonHurwitzError naming the
-    stage when a stage cannot relax, and UnphysicalStateError when a stage
-    leaves an unphysical state; collects slow-regime warnings for every
-    stage that is not underdamped (beta_eff sqrt(1 - r_eff^2) <= kappa/2,
-    or |sq| >= |bs|: no steady state).
+    Each stage validates one frame state (on construction, or inside
+    ``evolve``) and the rotation back one more.  The diagnostics read the
+    frame: nullifier weights S w, the ensemble block's purity (S leaves it
+    unchanged) and the cavity cross block rotated back.  Raises
+    NonHurwitzError naming the stage when a stage cannot relax, and
+    UnphysicalStateError when a stage leaves an unphysical state; collects
+    slow-regime warnings for every stage that is not underdamped
+    (beta_eff sqrt(1 - r_eff^2) <= kappa/2, or |sq| >= |bs|: no steady
+    state).
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
     if stage_time is not None and not (math.isfinite(stage_time) and stage_time > 0):
         raise InvalidParameterError(f"stage_time must be positive and finite, got {stage_time}")
+    s = protocol.transform.symplectic
+    nullifiers = np.array([nullifier_coefficients(protocol.graph, a) for a in range(4)])
+    weights = s[2:, 2:] @ nullifiers.T
     state = GaussianState.vacuum(MODE_LABELS)
-    s_ext = protocol.transform.symplectic
     kappa = params.kappa
     traces: list[StageTrace] = []
     warnings: list[str] = []
     for k, stage in enumerate(protocol.stages):
-        target, bs, sq = _stage_coupling(stage, protocol.transform, params)
+        report = transformed_coupling(stage, protocol.transform, params)
+        target = report.target  # never None: the couplings depend on the stage alone
+        bs, sq = complex(report.beam_splitter[target]), complex(report.squeezing[target])
         try:
-            slow = _stage_convergence(k, bs, sq, kappa).slow
+            slow = _stage_convergence(k, report, kappa).slow
         except NonHurwitzError:
             if method == "lyapunov_sequential":
                 raise
@@ -357,18 +355,16 @@ def run_protocol(
                 raise NonHurwitzError(
                     f"stage {k + 1} has no steady state", exc.eigenvalue
                 ) from exc
-            cov_d = s_ext @ state.cov @ s_ext.T
             pair = [0, 1, 2 * (target + 1), 2 * (target + 1) + 1]
-            rest = [i for i in range(10) if i not in pair]
-            cov_d[np.ix_(pair, rest)] = 0.0
-            cov_d[np.ix_(rest, pair)] = 0.0
+            cov_d = state.cov.copy()
+            cov_d[pair, :] = 0.0
+            cov_d[:, pair] = 0.0
             cov_d[np.ix_(pair, pair)] = sigma_pair
-            state = GaussianState(MODE_LABELS, s_ext.T @ cov_d @ s_ext)
+            state = GaussianState(MODE_LABELS, cov_d)
         else:
-            dd = drift_diffusion(
-                build_effective_hamiltonian(stage, params), cavity_damping(kappa, 5)
-            )
+            dd = reduced_drift_diffusion(report.beam_splitter, report.squeezing, kappa)
             state = evolve(state, dd, stage_time if stage_time is not None else stage.duration)
+        ensembles = state.cov[2:, 2:]
         traces.append(
             StageTrace(
                 index=k + 1,
@@ -376,12 +372,13 @@ def run_protocol(
                 beam_splitter=bs,
                 squeezing=sq,
                 slow_regime=slow,
-                nullifier_variances=nullifier_variances(state, protocol.graph),
-                ensemble_purity=purity(state.cov[2:, 2:]),
-                cavity_cross_norm=float(np.abs(state.cov[:2, 2:]).max()),
+                nullifier_variances=np.einsum("ia,ij,ja->a", weights, ensembles, weights),
+                ensemble_purity=purity(ensembles),
+                cavity_cross_norm=float(np.abs(state.cov[:2, 2:] @ s[2:, 2:]).max()),
             )
         )
-    return ProtocolRun(state, tuple(traces), tuple(warnings))
+    final = GaussianState(MODE_LABELS, s.T @ state.cov @ s)
+    return ProtocolRun(final, tuple(traces), tuple(warnings))
 
 
 def stage_relaxation(protocol: Protocol, params: PhysicalParams):
@@ -392,5 +389,5 @@ def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     as ``run_protocol`` does, when a stage squeezes at least as strongly as
     it swaps (|sq| >= |bs|): its reduced pair has no steady state.
     """
-    couplings = (_stage_coupling(stage, protocol.transform, params) for stage in protocol.stages)
-    return [_stage_convergence(k, bs, sq, params.kappa) for k, (_, bs, sq) in enumerate(couplings)]
+    reports = (transformed_coupling(stage, protocol.transform, params) for stage in protocol.stages)
+    return [_stage_convergence(k, report, params.kappa) for k, report in enumerate(reports)]

@@ -238,6 +238,18 @@ def test_overflowing_propagator_is_physics_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_run_survives_a_million_kappa_stage_time(kind, tmp_path):
+    """The stages run in the combined-mode frame, where the modes a stage
+    leaves untouched carry no squaring round-off that could grow."""
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "run", "--protocol", kind, "--method", "ode", "--stage-time", "1e6", "--out", str(out),
+    )
+    assert code == 0
+    assert load(out)["verdict"]["passed"] is True
+
+
 def test_unphysical_oracle_state_is_physics_error(tmp_path, capsys, monkeypatch):
     def unphysical(config):
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")

@@ -67,6 +67,16 @@ def test_quadratic_hamiltonian_validation():
         QuadraticHamiltonian(np.zeros((2, 2)), np.array([[0, 1], [-1, 0]]))  # not symmetric
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("matrix", ["F", "G"])
+def test_quadratic_hamiltonian_rejects_non_finite_entries(matrix, bad):
+    m = np.zeros((2, 2), dtype=complex)
+    m[0, 0] = bad
+    args = {"F": np.zeros((2, 2)), "G": np.zeros((2, 2)), matrix: m}
+    with pytest.raises(InvalidParameterError, match=f"{matrix} must be finite"):
+        QuadraticHamiltonian(args["F"], args["G"])
+
+
 def test_gaussian_state_symmetrizes_and_validates():
     cov = 0.5 * np.eye(2)
     cov[0, 1] = 1e-13  # tiny asymmetry is symmetrised away
@@ -266,15 +276,19 @@ def test_time_domain_runs_stay_physical(kind, r, gap, stage_time):
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 @pytest.mark.parametrize("r", [0.5, 0.9])
 def test_time_domain_far_past_relaxation_equals_lyapunov(kind, r):
-    """Stage time 200/kappa, far past relaxation.  Forming Q as E_12 Phi^T
-    from one exponential over the whole stage cancels to garbage here (at
-    r 0.5 from about 60/kappa on)."""
+    """Stage times 200/kappa to 1e6/kappa, far past relaxation.  Forming Q as
+    E_12 Phi^T from one exponential over the whole stage cancels to garbage
+    here (at r 0.5 from about 60/kappa on).  Squaring in a basis where the
+    untouched modes are not coordinate axes doubles their round-off at every
+    step, so the stages run in the combined-mode frame."""
     params = PhysicalParams.from_ratios(2.5, r, kappa=1.0)
     exact = run_protocol(builtin_protocol(kind, params), params, method="lyapunov_sequential")
-    long = run_protocol(
-        builtin_protocol(kind, params, stage_time=200.0), params, method="time_domain"
-    )
-    assert np.abs(long.final_state.cov - exact.final_state.cov).max() <= 1e-10
+    for stage_time in (200.0, 1e4, 1e5, 1e6):
+        long = run_protocol(
+            builtin_protocol(kind, params, stage_time=stage_time), params, method="time_domain"
+        )
+        gap = np.abs(long.final_state.cov - exact.final_state.cov).max()
+        assert gap <= 1e-13, f"stage time {stage_time}: gap {gap:.3e}"
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e308])
@@ -432,3 +446,14 @@ def test_drift_diffusion_validation():
         DriftDiffusion(np.zeros((3, 3)), np.zeros((3, 3)))  # odd dimension
     with pytest.raises(InvalidParameterError):
         DriftDiffusion(np.zeros((2, 2)), -np.eye(2))  # not psd
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("matrix", ["A", "D"])
+def test_drift_diffusion_rejects_non_finite_entries(matrix, bad):
+    """Named before the symmetry and PSD checks, which NaN would slip past
+    or turn into numpy's LinAlgError."""
+    args = {"A": np.zeros((2, 2)), "D": np.zeros((2, 2))}
+    args[matrix] = np.full((2, 2), bad)
+    with pytest.raises(InvalidParameterError, match=f"matrix {matrix} must be finite"):
+        DriftDiffusion(args["A"], args["D"])

@@ -16,6 +16,7 @@ from cvcluster import (
     cavity_decay_from_finesse,
     convergence_eigenvalues,
     effective_spontaneous_rate,
+    two_mode_drift_diffusion,
 )
 from cvcluster.tables import generated_stage
 
@@ -157,6 +158,28 @@ def test_cavity_damping_vector():
     assert_allclose(rates, [3.0, 0, 0, 0, 0])
     with pytest.raises(InvalidParameterError):
         cavity_damping(-1.0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_cavity_damping_rejects_non_finite_kappa(kappa):
+    with pytest.raises(InvalidParameterError, match="kappa must be finite and nonnegative"):
+        cavity_damping(kappa)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((math.nan, 0.5, 1.0), "F must be finite"),
+        ((1.0, math.nan, 1.0), "G must be finite"),
+        ((1.0, 0.5, math.nan), "kappa must be finite"),
+        ((1.0, 0.5, math.inf), "kappa must be finite"),
+    ],
+)
+def test_two_mode_generator_rejects_non_finite_inputs(args, name):
+    """A NaN coupling or rate is named up front instead of reaching
+    steady_state or the PSD check as numpy's LinAlgError."""
+    with pytest.raises(InvalidParameterError, match=name):
+        two_mode_drift_diffusion(*args)
 
 
 # ------------------------------------------------------------- SI estimators

@@ -8,15 +8,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cvcluster import (
+    GaussianState,
     InvalidParameterError,
     NonHurwitzError,
     PhysicalParams,
     Protocol,
     PulseStage,
     UnphysicalStateError,
+    build_effective_hamiltonian,
     builtin_graph,
     builtin_protocol,
     builtin_transform,
+    cavity_damping,
+    drift_diffusion,
+    evolve,
     nullifier_variances,
     purity,
     run_protocol,
@@ -26,7 +31,8 @@ from cvcluster import (
     transformed_coupling,
     vacuum_targets,
 )
-from cvcluster.protocols import PROTOCOL_KINDS, STAGE_PHASE_FACTORS
+from cvcluster.model import reduced_drift_diffusion
+from cvcluster.protocols import MODE_LABELS, PROTOCOL_KINDS, STAGE_PHASE_FACTORS
 from cvcluster.tables import generated_stage, reference_stage
 
 S2 = math.sqrt(2.0)
@@ -232,10 +238,53 @@ def test_per_stage_trace_is_recorded():
 @pytest.mark.parametrize("method", ["lyapunov_sequential", "time_domain"])
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 def test_stage_purity_reads_the_ensemble_block(kind, method):
-    """A stage's purity is that of the ensemble state, read without building it."""
+    """A stage's purity, read from the combined-mode frame, is that of the
+    ensemble state: S leaves it unchanged, up to round-off."""
     params = PhysicalParams.from_ratios(1.7, 0.6)
     run = run_protocol(builtin_protocol(kind, params), params, method=method)
-    assert run.stages[-1].ensemble_purity == purity(run.ensemble_state.cov)
+    assert abs(run.stages[-1].ensemble_purity - purity(run.ensemble_state.cov)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize("beta,r", [(1.7, 0.6), (3.0, 0.9), (1.0, 0.95)])
+def test_lyapunov_final_stage_purity_is_one(kind, beta, r):
+    """Four exact squeezed vacua leave the ensembles in a pure state."""
+    params = PhysicalParams.from_ratios(beta, r)
+    run = run_protocol(builtin_protocol(kind, params), params)
+    assert abs(run.stages[-1].ensemble_purity - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize("beta,r", [(2.5, 0.5), (1.0, 0.9), (0.4, 0.3)])
+def test_frame_generator_is_the_rotated_stage_generator(kind, beta, r):
+    """The generator built from a coupling report's vectors is S A S^T of
+    the ensemble-basis stage generator, with the same D: nothing dropped."""
+    params = PhysicalParams.from_ratios(beta, r)
+    protocol = builtin_protocol(kind, params)
+    s = protocol.transform.symplectic
+    for stage in protocol.stages:
+        report = transformed_coupling(stage, protocol.transform, params)
+        frame = reduced_drift_diffusion(report.beam_splitter, report.squeezing, params.kappa)
+        ensemble = drift_diffusion(
+            build_effective_hamiltonian(stage, params), cavity_damping(params.kappa)
+        )
+        assert np.abs(frame.A - s @ ensemble.A @ s.T).max() <= 1e-15
+        assert (frame.D == ensemble.D).all()
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@pytest.mark.parametrize("stage_time", [4.0, 12.0])
+def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
+    """Reference: evolve the five-mode state in the ensemble basis, stage by
+    stage, under each stage's own Hamiltonian."""
+    params = PhysicalParams.from_ratios(2.5, 0.5)
+    protocol = builtin_protocol(kind, params, stage_time=stage_time)
+    state = GaussianState.vacuum(MODE_LABELS)
+    for stage in protocol.stages:
+        dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0))
+        state = evolve(state, dd, stage_time)
+    run = run_protocol(protocol, params, method="time_domain")
+    assert np.abs(run.final_state.cov - state.cov).max() <= 1e-12
 
 
 def test_squeeze_only_stage_is_rejected_as_unstable():
