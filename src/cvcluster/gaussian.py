@@ -334,6 +334,8 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     if u.shape != (n, n):
         raise InvalidParameterError(f"transform must be square, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidParameterError("transform must be finite")
     deviation = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
     if deviation > UNITARITY_TOL:
         raise InvalidTransformError("mode transform is not unitary", deviation)

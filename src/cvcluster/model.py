@@ -193,10 +193,15 @@ def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceI
     When beta sqrt(1-r^2) > kappa/2 the stage is underdamped, relaxes on
     the 2/kappa scale and a pulse length of 4/kappa is comfortably past
     steady state.  Otherwise the slow eigenvalue dictates the time scale
-    (8 / |Re lambda_slow|) and the stage is flagged.
+    (8 / |Re lambda_slow|) and the stage is flagged.  Raises
+    InvalidParameterError when beta or kappa is so large that its square
+    is not finite.
     """
-    _require_finite("beta", beta)
-    _require_finite("kappa", kappa)
+    beta, kappa = float(beta), float(kappa)
+    for name, value in (("beta", beta), ("kappa", kappa)):
+        _require_finite(name, value)
+        if not math.isfinite(value * value):
+            raise InvalidParameterError(f"{name} = {value} is too large: its square is not finite")
     if kappa <= 0:
         raise InvalidParameterError(f"kappa must be positive, got {kappa}")
     if not 0.0 <= r < 1.0:

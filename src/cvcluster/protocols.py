@@ -147,6 +147,8 @@ def stage_from_mode_vector(v, omega: float, r: float, duration: float) -> PulseS
     v = np.asarray(v, dtype=complex)
     if v.shape != (4,):
         raise InvalidParameterError(f"mode vector must have 4 entries, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidParameterError("mode vector must be finite")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > UNITARITY_TOL:
         raise InvalidParameterError(f"mode vector must be normalised, |v| = {float(norm)!r}")
@@ -207,7 +209,9 @@ class Protocol:
     """Ordered pulse schedule targeting one cluster state.
 
     Exactly four stages, each addressing a distinct combined mode of the
-    transform; ``xi`` = atanh(r) is the squeezing every stage imprints.
+    transform with |sq| < |bs| on it: a stage with |sq| >= |bs| amplifies
+    for any kappa, so both methods run every Protocol.  ``xi`` = atanh(r)
+    is the squeezing every stage imprints.
     """
 
     transform: ModeTransform
@@ -225,6 +229,11 @@ class Protocol:
             report = transformed_coupling(stage, self.transform, params)
             if report.target is None:
                 raise InvalidParameterError(f"stage {k + 1} does not address a single combined mode")
+            bs, sq = abs(report.beam_splitter[report.target]), abs(report.squeezing[report.target])
+            if sq >= bs:
+                raise InvalidParameterError(
+                    f"stage {k + 1} amplifies, no steady state: |sq| = {sq:.6g} >= |bs| = {bs:.6g}"
+                )
             targets.append(report.target)
         if len(set(targets)) != 4:
             raise InvalidParameterError(f"stages must target distinct combined modes, got {targets}")
@@ -276,23 +285,13 @@ class ProtocolRun:
         return self.final_state.marginal(MODE_LABELS[1:])
 
 
-def _stage_convergence(k: int, report: CouplingReport, kappa: float) -> ConvergenceInfo:
-    """Relaxation spectrum of stage k + 1, whose target couplings (bs, sq)
-    are read off its coupling report.
-
-    The reduced pair is the two-mode model at beta = |bs|, r = |sq| / |bs|.
-    Raises NonHurwitzError naming the stage when |sq| >= |bs|: the stage
-    squeezes at least as strongly as it swaps, and the pair has no steady
-    state.
+def _stage_convergence(report: CouplingReport, kappa: float) -> ConvergenceInfo:
+    """Relaxation spectrum of a stage, whose target couplings (bs, sq) are
+    read off its coupling report: the two-mode model at beta = |bs|,
+    r = |sq| / |bs|, which lies in [0, 1) for every stage of a Protocol.
     """
-    bs, sq = complex(report.beam_splitter[report.target]), complex(report.squeezing[report.target])
-    if abs(sq) >= abs(bs):
-        eigvals = np.linalg.eigvals(reduced_drift_diffusion(bs, sq, kappa).A)
-        raise NonHurwitzError(
-            f"stage {k + 1} has no steady state", eigvals[np.argmax(eigvals.real)]
-        )
-    beta = abs(bs)
-    return convergence_eigenvalues(beta, abs(sq) / beta, kappa)
+    beta = abs(report.beam_splitter[report.target])
+    return convergence_eigenvalues(beta, abs(report.squeezing[report.target]) / beta, kappa)
 
 
 def run_protocol(
@@ -315,12 +314,13 @@ def run_protocol(
     Each stage validates one frame state (on construction, or inside
     ``evolve``) and the rotation back one more.  The diagnostics read the
     frame: nullifier weights S w, the ensemble block's purity (S leaves it
-    unchanged) and the cavity cross block rotated back.  Raises
-    NonHurwitzError naming the stage when a stage cannot relax, and
+    unchanged) and the cavity cross block rotated back.  No stage is
+    rejected by method: a Protocol holds no amplifying stage.  Raises
+    NonHurwitzError naming the stage when ``steady_state`` finds the
+    lyapunov pair not Hurwitz (|sq| within round-off of |bs|), and
     UnphysicalStateError when a stage leaves an unphysical state; collects
     slow-regime warnings for every stage that is not underdamped
-    (beta_eff sqrt(1 - r_eff^2) <= kappa/2, or |sq| >= |bs|: no steady
-    state).
+    (beta_eff sqrt(1 - r_eff^2) <= kappa/2).
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -337,16 +337,11 @@ def run_protocol(
         report = transformed_coupling(stage, protocol.transform, params)
         target = report.target  # never None: the couplings depend on the stage alone
         bs, sq = complex(report.beam_splitter[target]), complex(report.squeezing[target])
-        try:
-            slow = _stage_convergence(k, report, kappa).slow
-        except NonHurwitzError:
-            if method == "lyapunov_sequential":
-                raise
-            slow = True  # the time-domain method evolves it all the same
+        slow = _stage_convergence(report, kappa).slow
         if slow:
             warnings.append(
                 f"stage {k + 1}: slow regime, effective coupling gap "
-                f"{math.sqrt(max(abs(bs) ** 2 - abs(sq) ** 2, 0.0)):.4g} <= kappa/2 = {kappa / 2:.4g}"
+                f"{math.sqrt(abs(bs) ** 2 - abs(sq) ** 2):.4g} <= kappa/2 = {kappa / 2:.4g}"
             )
         if method == "lyapunov_sequential":
             try:
@@ -385,9 +380,10 @@ def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     """Convergence info of every stage (analytic eigenvalues and time scale).
 
     Each stage's target couplings come from one ``transformed_coupling``
-    call, as in ``run_protocol``.  Raises NonHurwitzError naming the stage,
-    as ``run_protocol`` does, when a stage squeezes at least as strongly as
-    it swaps (|sq| >= |bs|): its reduced pair has no steady state.
+    call, as in ``run_protocol``; every stage of a Protocol has a steady
+    state.
     """
-    reports = (transformed_coupling(stage, protocol.transform, params) for stage in protocol.stages)
-    return [_stage_convergence(k, report, params.kappa) for k, report in enumerate(reports)]
+    return [
+        _stage_convergence(transformed_coupling(stage, protocol.transform, params), params.kappa)
+        for stage in protocol.stages
+    ]

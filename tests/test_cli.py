@@ -297,6 +297,26 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--protocol", "linear", "--beta", "1e155"),
+        ("run", "--protocol", "linear", "--beta", "1e200"),
+        ("run", "--protocol", "linear", "--beta", "1e200", "--method", "ode"),
+        ("sweep", "--protocol", "linear", "--beta", "1e200"),
+    ],
+    ids=" ".join,
+)
+def test_beta_whose_square_overflows_is_config_error(tmp_path, capsys, argv):
+    """Was a bare OverflowError traceback, which exits 1 like a failed verdict."""
+    out = tmp_path / "x.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: beta = ") and "is too large" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- sweep
 
 

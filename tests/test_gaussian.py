@@ -31,6 +31,7 @@ from cvcluster import (
     steady_state,
     symplectic_eigenvalues,
     symplectic_form,
+    symplectic_from_unitary,
     two_mode_drift_diffusion,
 )
 from cvcluster.model import reduced_drift_diffusion
@@ -403,6 +404,16 @@ def test_non_unitary_transform_rejected_with_deviation():
     with pytest.raises(InvalidTransformError) as err:
         apply_mode_transform(state, bad)
     assert err.value.deviation > 0.1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_symplectic_from_unitary_rejects_non_finite_entries(value):
+    """Checked before any arithmetic: NaN passes ``deviation > tol`` and an
+    infinite entry would overflow the unitarity product."""
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = value
+    with pytest.raises(InvalidParameterError, match="transform must be finite"):
+        symplectic_from_unitary(u)
 
 
 # ------------------------------------------- symplectic eigenvalues / purity

@@ -289,3 +289,28 @@ def test_convergence_eigenvalues_reject_non_finite_numbers(field, args):
     """A NaN or infinite input names its field instead of reading as a regime."""
     with pytest.raises(InvalidParameterError, match=field):
         convergence_eigenvalues(*args)
+
+
+@pytest.mark.parametrize("to_float", [float, np.float64], ids=["python", "numpy"])
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("beta", (1e155, 0.5, 1.0)),
+        ("beta", (1e200, 0.5, 1.0)),
+        ("kappa", (1.0, 0.5, 1e200)),
+    ],
+    ids=["beta-1e155", "beta-1e200", "kappa-1e200"],
+)
+def test_convergence_eigenvalues_reject_a_value_whose_square_overflows(to_float, field, args):
+    """Python floats raised OverflowError from beta**2 and numpy floats gave
+    inf with a RuntimeWarning; both now name the field, with no warning."""
+    beta, r, kappa = (to_float(x) for x in args)
+    with pytest.raises(InvalidParameterError, match=f"^{field} = .* is too large"):
+        convergence_eigenvalues(beta, r, kappa)
+
+
+@pytest.mark.parametrize("to_float", [float, np.float64], ids=["python", "numpy"])
+def test_convergence_eigenvalues_accept_the_largest_beta_whose_square_is_finite(to_float):
+    info = convergence_eigenvalues(to_float(1e154), to_float(0.5), to_float(1.0))
+    assert info.regime == "underdamped"
+    assert type(info.lambda_plus) is complex

@@ -10,11 +10,9 @@ from numpy.testing import assert_allclose
 from cvcluster import (
     GaussianState,
     InvalidParameterError,
-    NonHurwitzError,
     PhysicalParams,
     Protocol,
     PulseStage,
-    UnphysicalStateError,
     build_effective_hamiltonian,
     builtin_graph,
     builtin_protocol,
@@ -32,7 +30,7 @@ from cvcluster import (
     vacuum_targets,
 )
 from cvcluster.model import reduced_drift_diffusion
-from cvcluster.protocols import MODE_LABELS, PROTOCOL_KINDS, STAGE_PHASE_FACTORS
+from cvcluster.protocols import MODE_LABELS, PROTOCOL_KINDS, STAGE_PHASE_FACTORS, ModeTransform
 from cvcluster.tables import generated_stage, reference_stage
 
 S2 = math.sqrt(2.0)
@@ -104,6 +102,23 @@ def test_stage_rejects_unnormalised_vector():
 def test_stage_rejects_non_finite_omega(omega):
     with pytest.raises(InvalidParameterError, match="omega must be positive and finite"):
         stage_from_mode_vector(np.array([1.0, 0, 0, 0]), omega, 0.5, 4.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stage_rejects_a_non_finite_mode_vector(value):
+    """NaN passes the norm check (nan > tol is False): name the vector."""
+    with pytest.raises(InvalidParameterError, match="mode vector must be finite"):
+        stage_from_mode_vector(np.array([value, 0, 0, 0]), 1.0, 0.5, 4.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mode_transform_rejects_non_finite_entries(value):
+    matrix = np.eye(4, dtype=complex)
+    matrix[2, 1] = value
+    with pytest.raises(InvalidParameterError, match="transform must be finite"):
+        ModeTransform(matrix)
+    with pytest.raises(InvalidParameterError, match="transform must be finite"):
+        ModeTransform(np.full((4, 4), value))
 
 
 # --------------------------------------------------------- transformed couplings
@@ -287,28 +302,6 @@ def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
     assert np.abs(run.final_state.cov - state.cov).max() <= 1e-12
 
 
-def test_squeeze_only_stage_is_rejected_as_unstable():
-    """A stage driving only the squeezing channel amplifies without bound."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
-    transform = builtin_transform("linear")
-    stages = []
-    for j in range(4):
-        v = transform.matrix[j]
-        angles = np.where(np.abs(v) > 0, np.angle(v), 0.0)
-        stages.append(
-            PulseStage(
-                omega_u=np.zeros(4),
-                omega_s=2.0 * params.omega * np.abs(v),
-                phi_u=np.zeros(4),
-                phi_s=-angles,
-                duration=4.0,
-            )
-        )
-    protocol = Protocol(transform, tuple(stages), builtin_graph("linear"), params.xi)
-    with pytest.raises(NonHurwitzError, match="stage 1"):
-        run_protocol(protocol, params)
-
-
 def test_slow_regime_warning_collected():
     params = PhysicalParams.from_ratios(0.4, 0.5)  # beta sqrt(1-r^2) = 0.346 < 1/2
     run = run_protocol(builtin_protocol("linear", params), params)
@@ -326,54 +319,60 @@ def test_stage_relaxation_infos():
     assert all(abs(info.time_to_steady - 4.0) < 1e-12 for info in infos)
 
 
-def test_stage_relaxation_rejects_a_stage_without_steady_state():
-    """|sq| >= |bs| has no steady state: the same NonHurwitzError as the runner."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
-    protocol = builtin_protocol("linear", params)
-    for swap, squeeze in ((1.0, 2.0), (1.0, 1.0), (0.0, 1.0)):
-        stages = tuple(
-            dataclasses.replace(s, omega_u=swap * s.omega_u, omega_s=squeeze * s.omega_u)
-            for s in protocol.stages
-        )
-        broken = dataclasses.replace(protocol, stages=stages)
-        with pytest.raises(NonHurwitzError, match="stage 1 has no steady state") as relaxation:
-            stage_relaxation(broken, params)
-        with pytest.raises(NonHurwitzError) as runner:
-            run_protocol(broken, params)
-        assert str(relaxation.value) == str(runner.value)
-        assert relaxation.value.eigenvalue == runner.value.eigenvalue
-
-
-@pytest.mark.parametrize(
-    "swap,squeeze",
-    [
-        pytest.param(
-            1.0,
-            2.0,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=UnphysicalStateError,
-                reason="min symplectic eigenvalue 0.499999981827528: the absolute "
-                "uncertainty tolerance is finer than the round-off on the growing covariance",
-            ),
-        ),
-        (1.0, 1.0),
-        (0.0, 1.0),
-    ],
-)
-def test_time_domain_evolves_a_stage_without_steady_state(swap, squeeze):
-    """The time-domain method has no steady state to miss: it runs the
-    broken protocols above to the end and flags every stage slow."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
-    protocol = builtin_protocol("linear", params)
-    stages = tuple(
+def rescaled_stages(protocol, swap, squeeze):
+    """The protocol's stages with both channels driven at ``swap`` and
+    ``squeeze`` times the original beam-splitter amplitudes."""
+    return tuple(
         dataclasses.replace(s, omega_u=swap * s.omega_u, omega_s=squeeze * s.omega_u)
         for s in protocol.stages
     )
-    broken = dataclasses.replace(protocol, stages=stages)
-    run = run_protocol(broken, params, method="time_domain")
-    assert [trace.slow_regime for trace in run.stages] == [True] * 4
-    assert len(run.warnings) == 4
+
+
+def squeeze_only_stages(protocol):
+    """The protocol's stages with the beam-splitter channel moved to the
+    squeezing channel and nothing left on it."""
+    zeros = np.zeros(4)
+    return tuple(
+        dataclasses.replace(s, omega_u=zeros, omega_s=s.omega_u, phi_u=zeros)
+        for s in protocol.stages
+    )
+
+
+@pytest.mark.parametrize(
+    "swap,squeeze,sq,bs",
+    [(1.0, 2.0, "2", "1"), (1.0, 1.0, "1", "1"), (0.0, 1.0, "1", "0"), (None, None, "1", "0")],
+    ids=["swap-1-squeeze-2", "swap-1-squeeze-1", "swap-0-squeeze-1", "squeeze-only"],
+)
+def test_protocol_rejects_a_stage_that_amplifies(swap, squeeze, sq, bs):
+    """|sq| >= |bs| has no steady state for any kappa: such a stage cannot
+    be built into a Protocol, so no method is ever handed one."""
+    protocol = builtin_protocol("linear", PhysicalParams.from_ratios(1.0, 0.5))
+    if swap is None:
+        stages = squeeze_only_stages(protocol)
+    else:
+        stages = rescaled_stages(protocol, swap, squeeze)
+    message = rf"^stage 1 amplifies, no steady state: \|sq\| = {sq} >= \|bs\| = {bs}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        Protocol(protocol.transform, stages, protocol.graph, protocol.xi)
+    with pytest.raises(InvalidParameterError, match=message):
+        dataclasses.replace(protocol, stages=stages)
+
+
+def test_a_stage_just_below_the_line_runs_under_both_methods():
+    """|sq| = 0.99 |bs| still relaxes: both methods run it, every stage slow,
+    and the lyapunov run reaches the r = 0.99 targets."""
+    params = PhysicalParams.from_ratios(1.0, 0.5)
+    protocol = builtin_protocol("linear", params)
+    below = dataclasses.replace(protocol, stages=rescaled_stages(protocol, 1.0, 0.99))
+    for method in ("lyapunov_sequential", "time_domain"):
+        run = run_protocol(below, params, method=method)
+        assert [trace.slow_regime for trace in run.stages] == [True] * 4
+        assert len(run.warnings) == 4
+        assert all("slow regime" in w for w in run.warnings)
+    variances = nullifier_variances(
+        run_protocol(below, params).final_state, builtin_graph("linear")
+    )
+    assert np.abs(variances - exact_targets("linear", 0.99)).max() < 1e-8
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
