@@ -6,9 +6,9 @@ SI-unit estimators.  Results are written as a single JSON document with a
 schema name and version; floats serialise with full round-trip precision.
 
 Exit codes: 0 pass, 1 verdict failure, 2 configuration error (including a
-NaN or infinite input number), 3 physics error (any other SimulationError:
-an unstable stage, truncated-basis overflow, an unphysical state, a NaN or
-infinite number in the result).
+NaN or infinite input number and an unwritable ``--out``), 3 physics error
+(any other SimulationError: an unstable stage, truncated-basis overflow, an
+unphysical state, a NaN or infinite number in the result).
 """
 
 from __future__ import annotations
@@ -126,9 +126,12 @@ def _write(doc: dict, out: str | None) -> None:
         raise SimulationError(f"result holds a NaN or infinite number: {exc}") from exc
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"field 'out': cannot write {out}: {exc}") from exc
 
 
 def _run_once(config: RunConfig) -> tuple[dict, bool]:
@@ -162,7 +165,7 @@ def _run_once(config: RunConfig) -> tuple[dict, bool]:
             "analytic_targets": report.targets.tolist(),
             "vacuum_variances": report.vacuum.tolist(),
             "ensemble_purity": run.stages[-1].ensemble_purity,
-            "ensemble_symplectic_eigenvalues": symplectic_eigenvalues(ensemble_cov).tolist(),
+            "ensemble_symplectic_eigenvalues": symplectic_eigenvalues(run.frame_state.cov[2:, 2:]).tolist(),
         },
         "verdict": {
             "passed": report.passed,

@@ -126,13 +126,13 @@ def covariance_from_density(rho: np.ndarray, dims) -> np.ndarray:
     """Quadrature covariance matrix of a density matrix over the given modes.
 
     Symmetrised second moments, same vacuum-variance-1/2 convention as the
-    Gaussian layer.  Validates trace, Hermiticity and positivity first.
+    Gaussian layer.  Validates finiteness, trace, Hermiticity and positivity first.
     """
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise InvalidParameterError(f"rho must be {total} x {total} for dims {dims}")
+    if rho.shape != (total, total) or not np.isfinite(rho).all():
+        raise InvalidParameterError(f"rho must be a finite {total} x {total} matrix for dims {dims}")
     if abs(np.trace(rho) - 1.0) > 1e-8:
         raise UnphysicalStateError(f"trace(rho) = {complex(np.trace(rho))!r}, expected 1")
     if np.abs(rho - rho.conj().T).max() > 1e-8:

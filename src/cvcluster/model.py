@@ -81,11 +81,6 @@ class PhysicalParams:
         """Squeezing parameter atanh(r) of the prepared states."""
         return math.atanh(self.r)
 
-    @property
-    def hamiltonian_prefactor(self) -> float:
-        """sqrt(N) g / (2 Delta), multiplying every Rabi amplitude: 1/2 in these units."""
-        return 0.5
-
 
 @dataclass(frozen=True, eq=False)
 class PulseStage:
@@ -119,20 +114,20 @@ class PulseStage:
             raise InvalidParameterError(f"duration must be positive, got {self.duration}")
 
 
-def build_effective_hamiltonian(stage: PulseStage, params: PhysicalParams) -> QuadraticHamiltonian:
+def build_effective_hamiltonian(stage: PulseStage) -> QuadraticHamiltonian:
     """Five-mode quadratic Hamiltonian of one pulse stage.
 
     Mode 0 is the cavity, modes 1..4 the ensembles.  Only cavity-ensemble
     entries are nonzero; the diagonal free energies vanish on resonance
-    with the shifted lines.
+    with the shifted lines.  Entries are 1/2 (the module's prefactor in its
+    units) times amplitude times phase, so the stage alone fixes them.
     """
-    pref = params.hamiltonian_prefactor
     f = np.zeros((5, 5), dtype=complex)
     g = np.zeros((5, 5), dtype=complex)
     for j in range(4):
-        f[0, j + 1] = pref * stage.omega_u[j] * cmath.exp(1j * stage.phi_u[j])
+        f[0, j + 1] = 0.5 * stage.omega_u[j] * cmath.exp(1j * stage.phi_u[j])
         f[j + 1, 0] = np.conj(f[0, j + 1])
-        g[0, j + 1] = pref * stage.omega_s[j] * cmath.exp(1j * stage.phi_s[j])
+        g[0, j + 1] = 0.5 * stage.omega_s[j] * cmath.exp(1j * stage.phi_s[j])
         g[j + 1, 0] = g[0, j + 1]
     return QuadraticHamiltonian(f, g)
 

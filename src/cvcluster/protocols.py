@@ -180,15 +180,13 @@ class CouplingReport:
     target: int | None
 
 
-def transformed_coupling(
-    stage: PulseStage, transform: ModeTransform, params: PhysicalParams
-) -> CouplingReport:
+def transformed_coupling(stage: PulseStage, transform: ModeTransform) -> CouplingReport:
     """Per-combined-mode couplings of a stage, with target identification.
 
     A mode counts as the unique target when every other coupling magnitude
     is below DECOUPLING_TOL times the overall coupling scale.
     """
-    h = build_effective_hamiltonian(stage, params)
+    h = build_effective_hamiltonian(stage)
     u = transform.matrix
     cavity_bs = h.F[0, 1:]
     cavity_sq = h.G[0, 1:]
@@ -210,23 +208,21 @@ class Protocol:
 
     Exactly four stages, each addressing a distinct combined mode of the
     transform with |sq| < |bs| on it: a stage with |sq| >= |bs| amplifies
-    for any kappa, so both methods run every Protocol.  ``xi`` = atanh(r)
-    is the squeezing every stage imprints.
+    for any kappa, so both methods run every Protocol.  The checks need no
+    operating point: a stage's couplings depend on the stage alone.
     """
 
     transform: ModeTransform
     stages: tuple[PulseStage, ...]
     graph: ClusterGraph
-    xi: float
 
     def __post_init__(self):
         stages = tuple(self.stages)
         if len(stages) != 4:
             raise InvalidParameterError(f"a protocol needs exactly 4 stages, got {len(stages)}")
-        params = PhysicalParams.from_ratios(1.0, 0.0)
         targets = []
         for k, stage in enumerate(stages):
-            report = transformed_coupling(stage, self.transform, params)
+            report = transformed_coupling(stage, self.transform)
             if report.target is None:
                 raise InvalidParameterError(f"stage {k + 1} does not address a single combined mode")
             bs, sq = abs(report.beam_splitter[report.target]), abs(report.squeezing[report.target])
@@ -245,8 +241,8 @@ def builtin_protocol(
 ) -> Protocol:
     """Four-stage schedule for the linear, square or T-shape cluster state.
 
-    ``stage_time`` defaults to 4 / kappa, comfortably past the stage
-    relaxation time in the underdamped regime.
+    ``stage_time``, every stage's duration, must be positive and finite; it
+    defaults to 4 / kappa, past the relaxation time of an underdamped stage.
     """
     transform = builtin_transform(kind)
     duration = stage_time if stage_time is not None else 4.0 / params.kappa
@@ -255,7 +251,7 @@ def builtin_protocol(
         stage_from_mode_vector(factors[j] * transform.matrix[j], params.omega, params.r, duration)
         for j in range(4)
     )
-    return Protocol(transform, stages, builtin_graph(kind), params.xi)
+    return Protocol(transform, stages, builtin_graph(kind))
 
 
 @dataclass(frozen=True)
@@ -274,9 +270,10 @@ class StageTrace:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Final five-mode state plus per-stage trace and warnings."""
+    """Final five-mode state, also in the checked combined-mode frame, plus trace and warnings."""
 
     final_state: GaussianState
+    frame_state: GaussianState
     stages: tuple[StageTrace, ...]
     warnings: tuple[str, ...]
 
@@ -294,11 +291,19 @@ def _stage_convergence(report: CouplingReport, kappa: float) -> ConvergenceInfo:
     return convergence_eigenvalues(beta, abs(report.squeezing[report.target]) / beta, kappa)
 
 
+def _rotated_back(state: GaussianState, s: np.ndarray) -> GaussianState:
+    """S^T sigma_d S as a state, without GaussianState's second uncertainty check."""
+    cov = s.T @ state.cov @ s
+    cov = 0.5 * (cov + cov.T)
+    cov.flags.writeable = False
+    final = object.__new__(GaussianState)
+    object.__setattr__(final, "mode_labels", state.mode_labels)
+    object.__setattr__(final, "cov", cov)
+    return final
+
+
 def run_protocol(
-    protocol: Protocol,
-    params: PhysicalParams,
-    method: str = "lyapunov_sequential",
-    stage_time: float | None = None,
+    protocol: Protocol, params: PhysicalParams, method: str = "lyapunov_sequential"
 ) -> ProtocolRun:
     """Run all four stages starting from the global vacuum.
 
@@ -307,14 +312,14 @@ def run_protocol(
     ``reduced_drift_diffusion`` builds from each stage's coupling report.
     ``lyapunov_sequential`` sets the cavity + target-mode pair to its exact
     steady state (exact because the stages decouple); ``time_domain``
-    evolves the whole generator, no term dropped, for ``stage_time`` per
-    stage (default: each stage's own duration).  The state is rotated back
-    once, after the last stage.
+    evolves the whole generator, no term dropped, for each stage's
+    duration.  The state is rotated back once, after the last stage.
 
-    Each stage validates one frame state (on construction, or inside
-    ``evolve``) and the rotation back one more.  The diagnostics read the
-    frame: nullifier weights S w, the ensemble block's purity (S leaves it
-    unchanged) and the cavity cross block rotated back.  No stage is
+    Five states are validated, all in the frame: the vacuum and each stage
+    state.  The rotation back keeps nu exactly and is not checked: on its
+    sigma, of condition number e^{4 xi}, a check sees only round-off.  The
+    diagnostics read the frame: nullifier weights S w, the ensemble block's
+    purity and the cavity cross block rotated back.  No stage is
     rejected by method: a Protocol holds no amplifying stage.  Raises
     NonHurwitzError naming the stage when ``steady_state`` finds the
     lyapunov pair not Hurwitz (|sq| within round-off of |bs|), and
@@ -324,8 +329,6 @@ def run_protocol(
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
-    if stage_time is not None and not (math.isfinite(stage_time) and stage_time > 0):
-        raise InvalidParameterError(f"stage_time must be positive and finite, got {stage_time}")
     s = protocol.transform.symplectic
     nullifiers = np.array([nullifier_coefficients(protocol.graph, a) for a in range(4)])
     weights = s[2:, 2:] @ nullifiers.T
@@ -334,7 +337,7 @@ def run_protocol(
     traces: list[StageTrace] = []
     warnings: list[str] = []
     for k, stage in enumerate(protocol.stages):
-        report = transformed_coupling(stage, protocol.transform, params)
+        report = transformed_coupling(stage, protocol.transform)
         target = report.target  # never None: the couplings depend on the stage alone
         bs, sq = complex(report.beam_splitter[target]), complex(report.squeezing[target])
         slow = _stage_convergence(report, kappa).slow
@@ -358,7 +361,7 @@ def run_protocol(
             state = GaussianState(MODE_LABELS, cov_d)
         else:
             dd = reduced_drift_diffusion(report.beam_splitter, report.squeezing, kappa)
-            state = evolve(state, dd, stage_time if stage_time is not None else stage.duration)
+            state = evolve(state, dd, stage.duration)
         ensembles = state.cov[2:, 2:]
         traces.append(
             StageTrace(
@@ -372,8 +375,7 @@ def run_protocol(
                 cavity_cross_norm=float(np.abs(state.cov[:2, 2:] @ s[2:, 2:]).max()),
             )
         )
-    final = GaussianState(MODE_LABELS, s.T @ state.cov @ s)
-    return ProtocolRun(final, tuple(traces), tuple(warnings))
+    return ProtocolRun(_rotated_back(state, s), state, tuple(traces), tuple(warnings))
 
 
 def stage_relaxation(protocol: Protocol, params: PhysicalParams):
@@ -384,6 +386,6 @@ def stage_relaxation(protocol: Protocol, params: PhysicalParams):
     state.
     """
     return [
-        _stage_convergence(transformed_coupling(stage, protocol.transform, params), params.kappa)
+        _stage_convergence(transformed_coupling(stage, protocol.transform), params.kappa)
         for stage in protocol.stages
     ]

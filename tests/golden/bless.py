@@ -2,7 +2,10 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/bless.py
+    PYTHONPATH=src python tests/golden/bless.py [name ...]
+
+With names, only those cases are rewritten; without, every case is, and
+stale files are removed.
 
 Each case runs ``cvcluster.cli.main`` in-process with ``--out`` appended and
 is stored as ``<name>.json``: its argv (without ``--out``), exit code,
@@ -55,6 +58,7 @@ CASES = {
         "run", "--protocol", "linear", "--method", "ode", "--stage-time", "1e300",
     ],
     "run-linear-r-1.5": ["run", "--protocol", "linear", "--r", "1.5"],
+    "run-linear-r-0.9999": ["run", "--protocol", "linear", "--beta", "1", "--r", "0.9999"],
 }
 
 
@@ -80,11 +84,12 @@ def run_case(argv: list[str]) -> dict:
     }
 
 
-def main() -> int:
-    for path in GOLDEN_DIR.glob("*.json"):
-        path.unlink()
-    for name, argv in CASES.items():
-        record = run_case(argv)
+def main(names: list[str]) -> int:
+    if not names:
+        for path in GOLDEN_DIR.glob("*.json"):
+            path.unlink()
+    for name in names or CASES:
+        record = run_case(CASES[name])
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
         (GOLDEN_DIR / f"{name}.json").write_text(text, encoding="utf-8")
         print(f"{name}: exit {record['exit_code']}")
@@ -92,4 +97,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

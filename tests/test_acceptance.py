@@ -90,10 +90,10 @@ def test_criterion_4_finite_time_convergence():
     details = []
     ok = True
     for kind in KINDS:
-        protocol = builtin_protocol(kind, params)
         errors = []
         for stage_time in (4.0, 8.0, 12.0):
-            run = run_protocol(protocol, params, method="time_domain", stage_time=stage_time)
+            protocol = builtin_protocol(kind, params, stage_time=stage_time)
+            run = run_protocol(protocol, params, method="time_domain")
             variances = nullifier_variances(run.final_state, protocol.graph)
             errors.append(np.abs(variances - EXACT[kind]).max())
         ok = ok and errors[0] < 0.05 and errors[0] > errors[1] > errors[2]
@@ -236,7 +236,6 @@ def test_criterion_10_property_suites():
             rep = transformed_coupling(
                 generated_stage(kind, index, params.omega, params.r),
                 builtin_transform(kind),
-                params,
             )
             off = np.delete(np.abs(rep.beam_splitter), rep.target).max()
             off = max(off, np.delete(np.abs(rep.squeezing), rep.target).max())
@@ -247,7 +246,7 @@ def test_criterion_10_property_suites():
     ref_cov = run_protocol(base, params).final_state.cov
     permutation = 0.0
     for order in ((3, 2, 1, 0), (1, 3, 0, 2)):
-        perm = Protocol(base.transform, tuple(base.stages[i] for i in order), base.graph, base.xi)
+        perm = Protocol(base.transform, tuple(base.stages[i] for i in order), base.graph)
         permutation = max(
             permutation, np.abs(run_protocol(perm, params).final_state.cov - ref_cov).max()
         )

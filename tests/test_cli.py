@@ -317,6 +317,47 @@ def test_beta_whose_square_overflows_is_config_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--protocol", "linear"),
+        ("sweep", "--protocol", "linear", "--beta", "2", "--r", "0.3", "--stage-time", "4"),
+        ("check-tables",),
+        ("physical", "--finesse", "1.7e5", "--round-trip-length", "0.1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_config_error(tmp_path, capsys, argv, where):
+    """Was a FileNotFoundError or IsADirectoryError traceback, which exits 1
+    like a failed verdict."""
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: field 'out': cannot write {out}: ")
+
+
+@pytest.mark.parametrize("r", ["0.9999", "0.999999"])
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_lyapunov_runs_close_to_r_one_pass(kind, r, tmp_path):
+    """The state is checked in the combined-mode frame only.  Checked again
+    after the rotation back, whose covariance has condition number e^{4 xi},
+    these runs read min nu below 1/2 by up to 1.5e-4 and exited 3.  nu and
+    the purity both come from the frame's ensemble block."""
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "run", "--protocol", kind, "--beta", "1", "--r", r, "--method", "lyapunov",
+        "--out", str(out),
+    )
+    assert code == 0
+    doc = load(out)
+    assert doc["verdict"]["passed"] is True
+    nu = np.array(doc["final"]["ensemble_symplectic_eigenvalues"])
+    assert np.abs(nu - 0.5).max() <= 1e-14
+    assert 1.0 / np.prod(2.0 * nu) == doc["final"]["ensemble_purity"]
+
+
 # -------------------------------------------------------------------- sweep
 
 

@@ -165,6 +165,16 @@ def test_unphysical_density_matrices_rejected():
         covariance_from_density(vacuum_rho(5), (6,))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_density_matrix_rejected(value):
+    """A NaN entry used to pass every check (nan > tol is False) and give an
+    all-NaN covariance; +-inf failed later, as an unphysical state."""
+    rho = vacuum_rho(5)
+    rho[1, 2] = value
+    with pytest.raises(InvalidParameterError, match="rho must be a finite 5 x 5 matrix"):
+        covariance_from_density(rho, (5,))
+
+
 # ------------------------------------------------------------- integration
 
 

@@ -247,7 +247,7 @@ def test_evolve_matches_scipy_block_expm_on_random_stages():
         params = PhysicalParams.from_ratios(beta, r, kappa=1.0)
         protocol = builtin_protocol(PROTOCOL_KINDS[i % 3], params)
         for stage in protocol.stages:
-            dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0, 5))
+            dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0, 5))
             t = rng.uniform(0.05, 8.0)
             b = rng.normal(size=(10, 10)) * 0.3
             state = GaussianState(tuple("abcde"), 0.5 * np.eye(10) + b @ b.T)
@@ -305,7 +305,7 @@ def test_evolve_reports_an_overflowing_propagator_as_a_simulation_error():
     not a bad argument, and it warns nothing on the way."""
     params = PhysicalParams.from_ratios(2.5, 0.5)
     stage = builtin_protocol("linear", params).stages[0]
-    dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0))
+    dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0))
     with pytest.raises(SimulationError, match="evolution time 1e\\+300") as info:
         evolve(GaussianState.vacuum(("c", "e1", "e2", "e3", "e4")), dd, 1e300)
     assert not isinstance(info.value, InvalidParameterError)

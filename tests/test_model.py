@@ -71,13 +71,13 @@ def test_from_ratios_rejects_non_finite_numbers(value):
 
 def test_from_ratios_reproduces_beta():
     """The operating point is (beta, r, kappa).  Rabi amplitudes are in units
-    of Delta / (sqrt(N) g): omega is beta and every amplitude carries the
-    prefactor 1/2."""
+    of Delta / (sqrt(N) g): omega is beta.  The prefactor 1/2 that every
+    amplitude carries belongs to the stage Hamiltonian (see
+    test_hamiltonian_linear_first_stage_entries)."""
     assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["beta", "r", "kappa"]
     params = PhysicalParams.from_ratios(2.5, 0.5)
     assert params == PhysicalParams(2.5, 0.5, 1.0)
     assert (params.beta, params.omega, params.r, params.kappa) == (2.5, 2.5, 0.5, 1.0)
-    assert params.hamiltonian_prefactor == 0.5
     assert abs(params.xi - math.atanh(0.5)) < 1e-15
 
 
@@ -109,8 +109,7 @@ def test_pulse_stage_rejects_non_finite_numbers(field, value):
 
 
 def test_hamiltonian_all_zero_stage():
-    params = PhysicalParams.from_ratios(1.0, 0.5)
-    h = build_effective_hamiltonian(stage([0] * 4, [0] * 4, [0] * 4, [0] * 4), params)
+    h = build_effective_hamiltonian(stage([0] * 4, [0] * 4, [0] * 4, [0] * 4))
     assert_allclose(h.F, 0, atol=1e-15)
     assert_allclose(h.G, 0, atol=1e-15)
 
@@ -120,7 +119,7 @@ def test_hamiltonian_linear_first_stage_entries():
     beta = params.beta
     r = params.r
     st = generated_stage("linear", 1, omega=params.omega, r=r)
-    h = build_effective_hamiltonian(st, params)
+    h = build_effective_hamiltonian(st)
     assert abs(h.F[0, 1] - (-1j * beta / math.sqrt(2))) < 1e-12
     assert abs(h.F[0, 2] - (-beta / math.sqrt(2))) < 1e-12
     assert abs(h.G[0, 1] - (1j * r * beta / math.sqrt(2))) < 1e-12
@@ -131,9 +130,8 @@ def test_hamiltonian_linear_first_stage_entries():
 
 def test_hamiltonian_structure_for_random_stages():
     rng = np.random.default_rng(23)
-    params = PhysicalParams.from_ratios(1.3, 0.4)
     for _ in range(25):
-        h = build_effective_hamiltonian(random_stage(rng), params)
+        h = build_effective_hamiltonian(random_stage(rng))
         assert np.abs(h.F - h.F.conj().T).max() < 1e-12
         assert np.abs(h.G - h.G.T).max() < 1e-12
         # only cavity-ensemble couplings, no ensemble-ensemble blocks
@@ -144,11 +142,10 @@ def test_hamiltonian_structure_for_random_stages():
 
 def test_hamiltonian_linear_in_amplitudes():
     rng = np.random.default_rng(29)
-    params = PhysicalParams.from_ratios(1.0, 0.5)
     st = random_stage(rng)
     scaled = stage(3.0 * st.omega_u, 3.0 * st.omega_s, st.phi_u, st.phi_s)
-    h1 = build_effective_hamiltonian(st, params)
-    h3 = build_effective_hamiltonian(scaled, params)
+    h1 = build_effective_hamiltonian(st)
+    h3 = build_effective_hamiltonian(scaled)
     assert_allclose(h3.F, 3.0 * h1.F, atol=1e-13)
     assert_allclose(h3.G, 3.0 * h1.G, atol=1e-13)
 

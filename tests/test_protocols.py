@@ -129,7 +129,7 @@ def test_mode_transform_rejects_non_finite_entries(value):
 def test_generated_stages_couple_to_single_mode(kind, index):
     params = PhysicalParams.from_ratios(2.5, 0.5)
     st = generated_stage(kind, index, omega=params.omega, r=params.r)
-    report = transformed_coupling(st, builtin_transform(kind), params)
+    report = transformed_coupling(st, builtin_transform(kind))
     assert report.target == index - 1
     beta = params.beta
     assert abs(abs(report.beam_splitter[report.target]) - beta) < 1e-12
@@ -140,9 +140,8 @@ def test_generated_stages_couple_to_single_mode(kind, index):
 
 
 def test_all_zero_stage_has_no_target():
-    params = PhysicalParams.from_ratios(1.0, 0.5)
     st = PulseStage(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4), 4.0)
-    report = transformed_coupling(st, builtin_transform("linear"), params)
+    report = transformed_coupling(st, builtin_transform("linear"))
     assert report.target is None
     assert_allclose(report.beam_splitter, 0, atol=1e-15)
 
@@ -152,7 +151,7 @@ def test_reference_square_stage_one_is_inconsistent():
     on ensembles 3, 4) leaks squeezing onto a second combined mode."""
     params = PhysicalParams.from_ratios(1.0, 0.5)
     st = reference_stage("square", 1, omega=params.omega, r=params.r)
-    report = transformed_coupling(st, builtin_transform("square"), params)
+    report = transformed_coupling(st, builtin_transform("square"))
     beta = params.beta
     assert abs(report.beam_splitter[0] - beta) < 1e-12
     off_target_sq = abs(report.squeezing[2])
@@ -168,9 +167,9 @@ def test_protocol_requires_four_distinct_targets():
     transform = builtin_transform("linear")
     stages = [generated_stage("linear", i, params.omega, params.r) for i in (1, 1, 3, 4)]
     with pytest.raises(InvalidParameterError):
-        Protocol(transform, tuple(stages), builtin_graph("linear"), params.xi)
+        Protocol(transform, tuple(stages), builtin_graph("linear"))
     with pytest.raises(InvalidParameterError):
-        Protocol(transform, tuple(stages[:3]), builtin_graph("linear"), params.xi)
+        Protocol(transform, tuple(stages[:3]), builtin_graph("linear"))
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
@@ -213,11 +212,11 @@ def test_vanishing_squeezing_leaves_vacuum():
 def test_time_domain_converges_to_exact_values():
     r = 0.5
     params = PhysicalParams.from_ratios(2.5, r)
-    protocol = builtin_protocol("linear", params)
     target = exact_targets("linear", r)
     errors = []
     for stage_time in (4.0, 8.0, 12.0):
-        run = run_protocol(protocol, params, method="time_domain", stage_time=stage_time)
+        protocol = builtin_protocol("linear", params, stage_time=stage_time)
+        run = run_protocol(protocol, params, method="time_domain")
         variances = nullifier_variances(run.final_state, protocol.graph)
         errors.append(np.abs(variances - target).max())
     assert errors[0] < 0.05
@@ -229,12 +228,7 @@ def test_stage_order_does_not_matter():
     base = builtin_protocol("linear", params)
     reference = run_protocol(base, params).final_state.cov
     order = (2, 0, 3, 1)
-    permuted = Protocol(
-        base.transform,
-        tuple(base.stages[i] for i in order),
-        base.graph,
-        base.xi,
-    )
+    permuted = Protocol(base.transform, tuple(base.stages[i] for i in order), base.graph)
     shuffled = run_protocol(permuted, params).final_state.cov
     assert np.abs(reference - shuffled).max() < 1e-10
 
@@ -278,10 +272,10 @@ def test_frame_generator_is_the_rotated_stage_generator(kind, beta, r):
     protocol = builtin_protocol(kind, params)
     s = protocol.transform.symplectic
     for stage in protocol.stages:
-        report = transformed_coupling(stage, protocol.transform, params)
+        report = transformed_coupling(stage, protocol.transform)
         frame = reduced_drift_diffusion(report.beam_splitter, report.squeezing, params.kappa)
         ensemble = drift_diffusion(
-            build_effective_hamiltonian(stage, params), cavity_damping(params.kappa)
+            build_effective_hamiltonian(stage), cavity_damping(params.kappa)
         )
         assert np.abs(frame.A - s @ ensemble.A @ s.T).max() <= 1e-15
         assert (frame.D == ensemble.D).all()
@@ -296,7 +290,7 @@ def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
     protocol = builtin_protocol(kind, params, stage_time=stage_time)
     state = GaussianState.vacuum(MODE_LABELS)
     for stage in protocol.stages:
-        dd = drift_diffusion(build_effective_hamiltonian(stage, params), cavity_damping(1.0))
+        dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0))
         state = evolve(state, dd, stage_time)
     run = run_protocol(protocol, params, method="time_domain")
     assert np.abs(run.final_state.cov - state.cov).max() <= 1e-12
@@ -353,7 +347,7 @@ def test_protocol_rejects_a_stage_that_amplifies(swap, squeeze, sq, bs):
         stages = rescaled_stages(protocol, swap, squeeze)
     message = rf"^stage 1 amplifies, no steady state: \|sq\| = {sq} >= \|bs\| = {bs}$"
     with pytest.raises(InvalidParameterError, match=message):
-        Protocol(protocol.transform, stages, protocol.graph, protocol.xi)
+        Protocol(protocol.transform, stages, protocol.graph)
     with pytest.raises(InvalidParameterError, match=message):
         dataclasses.replace(protocol, stages=stages)
 
@@ -398,13 +392,36 @@ def test_unknown_method_rejected():
 
 
 @pytest.mark.parametrize("method", ["lyapunov_sequential", "time_domain"])
-@pytest.mark.parametrize("stage_time", [-1.0, 0.0, math.nan, math.inf])
-def test_stage_time_override_must_be_positive_and_finite(method, stage_time):
-    """The override is checked once, before any stage runs, for both methods."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+def test_a_run_validates_five_states_all_in_the_frame(method, monkeypatch):
+    """The vacuum and the four stage states are checked; the rotation back,
+    which keeps nu exactly, is not checked again.  At r 0.999999 that check
+    read min nu - 1/2 = -6.9e-5 on the rotated covariance."""
+    checked = []
+    validate = GaussianState.__post_init__
+
+    def counting(self):
+        validate(self)
+        checked.append(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counting)
+    params = PhysicalParams.from_ratios(1.0, 0.999999)
     protocol = builtin_protocol("linear", params)
-    with pytest.raises(InvalidParameterError, match="stage_time must be positive and finite"):
-        run_protocol(protocol, params, method=method, stage_time=stage_time)
+    run = run_protocol(protocol, params, method=method)
+    assert len(checked) == 5 and checked[-1] is run.frame_state
+    s = protocol.transform.symplectic
+    rotated = s.T @ run.frame_state.cov @ s
+    assert (run.final_state.cov == 0.5 * (rotated + rotated.T)).all()
+    assert not run.final_state.cov.flags.writeable
+    assert run.final_state.mode_labels == MODE_LABELS
+
+
+@pytest.mark.parametrize("stage_time", [-1.0, 0.0, math.nan, math.inf])
+def test_builtin_protocol_rejects_a_stage_time_not_positive_and_finite(stage_time):
+    """A run's stage times are its stages' durations, checked where the
+    Protocol is built, so no method is handed a bad one."""
+    params = PhysicalParams.from_ratios(1.0, 0.5)
+    with pytest.raises(InvalidParameterError, match="duration must be"):
+        builtin_protocol("linear", params, stage_time=stage_time)
 
 
 def test_tshape_phase_factors_flip_three_quadratures():
@@ -414,7 +431,7 @@ def test_tshape_phase_factors_flip_three_quadratures():
     assert_allclose(factors**2, [-1, -1, -1, 1], atol=1e-15)
     params = PhysicalParams.from_ratios(2.0, 0.5)
     st = generated_stage("tshape", 1, omega=params.omega, r=params.r)
-    report = transformed_coupling(st, builtin_transform("tshape"), params)
+    report = transformed_coupling(st, builtin_transform("tshape"))
     # beam-splitter coupling picks up the factor i, squeezing its conjugate
     assert abs(report.beam_splitter[0] - 1j * params.beta) < 1e-12
     assert abs(report.squeezing[0] - (-1j * params.r * params.beta)) < 1e-12

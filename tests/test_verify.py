@@ -176,8 +176,8 @@ def test_is_cluster_rejects_vacuum_at_positive_squeezing():
 
 def test_is_cluster_accepts_time_domain_output():
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    protocol = builtin_protocol("tshape", params)
-    run = run_protocol(protocol, params, method="time_domain", stage_time=4.0)
+    protocol = builtin_protocol("tshape", params, stage_time=4.0)
+    run = run_protocol(protocol, params, method="time_domain")
     report = is_cluster(run.final_state, protocol.graph, params.xi, tol=0.05)
     assert report.passed
 
