@@ -415,13 +415,15 @@ def test_a_run_validates_five_states_all_in_the_frame(method, monkeypatch):
     assert run.final_state.mode_labels == MODE_LABELS
 
 
+@pytest.mark.parametrize("method", ["lyapunov_sequential", "time_domain"])
 @pytest.mark.parametrize("stage_time", [-1.0, 0.0, math.nan, math.inf])
-def test_builtin_protocol_rejects_a_stage_time_not_positive_and_finite(stage_time):
-    """A run's stage times are its stages' durations, checked where the
-    Protocol is built, so no method is handed a bad one."""
+def test_stage_time_override_must_be_positive_and_finite(method, stage_time):
+    """A run's stage times are its stages' durations: builtin_protocol's
+    stage_time override is checked where the Protocol is built, so neither
+    method is handed a bad one."""
     params = PhysicalParams.from_ratios(1.0, 0.5)
     with pytest.raises(InvalidParameterError, match="duration must be"):
-        builtin_protocol("linear", params, stage_time=stage_time)
+        run_protocol(builtin_protocol("linear", params, stage_time=stage_time), params, method=method)
 
 
 def test_tshape_phase_factors_flip_three_quadratures():
