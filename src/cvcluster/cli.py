@@ -32,7 +32,7 @@ from .model import (
     effective_spontaneous_rate,
     two_mode_drift_diffusion,
 )
-from .protocols import PROTOCOL_KINDS, builtin_protocol, run_protocol
+from .protocols import MODE_LABELS, PROTOCOL_KINDS, builtin_protocol, run_protocol
 from .tables import check_tables
 from .verify import is_cluster
 
@@ -158,7 +158,7 @@ def _run_once(config: RunConfig) -> tuple[dict, bool]:
             for t in run.stages
         ],
         "final": {
-            "mode_labels": list(run.final_state.mode_labels),
+            "mode_labels": list(MODE_LABELS),
             "covariance_row_major": run.final_state.cov.reshape(-1).tolist(),
             "ensemble_covariance_row_major": ensemble_cov.reshape(-1).tolist(),
             "nullifier_variances": report.variances.tolist(),
@@ -193,7 +193,7 @@ def _oracle_section(config: RunConfig) -> dict:
         )
     )
     dd = two_mode_drift_diffusion(config.beta, config.r, kappa=1.0)
-    gaussian = evolve(GaussianState.vacuum(("cavity", "d")), dd, config.stage_time)
+    gaussian = evolve(GaussianState.vacuum(2), dd, config.stage_time)
     gap = float(np.abs(fock.covariance - gaussian.cov).max())
     return {
         "cutoff": config.oracle_cutoff,

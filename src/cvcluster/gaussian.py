@@ -169,44 +169,27 @@ class DriftDiffusion:
 class GaussianState:
     """Zero-mean Gaussian state given by its quadrature covariances.
 
-    The covariance matrix is symmetrised on construction and checked by
-    ``symplectic_eigenvalues`` against the uncertainty relation (all
-    symplectic eigenvalues at least 1/2 up to UNCERTAINTY_TOL).
+    Modes are addressed by position: mode m owns rows and columns 2m, 2m + 1
+    (in a protocol state mode 0 is the cavity).  The covariance matrix is
+    symmetrised on construction and checked by ``symplectic_eigenvalues``
+    for its shape and the uncertainty relation (all symplectic eigenvalues
+    at least 1/2 up to UNCERTAINTY_TOL).
     """
 
-    mode_labels: tuple[str, ...]
     cov: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.mode_labels)
+        symplectic_eigenvalues(self.cov)
         cov = np.asarray(self.cov, dtype=float)
-        n = len(labels)
-        if cov.shape != (2 * n, 2 * n):
-            raise InvalidParameterError(f"{n} modes need cov (2n, 2n); got {cov.shape}")
-        if not np.isfinite(cov).all():
-            raise InvalidParameterError("cov must be finite")
-        cov = 0.5 * (cov + cov.T)
-        symplectic_eigenvalues(cov)
-        object.__setattr__(self, "mode_labels", labels)
-        object.__setattr__(self, "cov", _readonly(cov))
+        object.__setattr__(self, "cov", _readonly(0.5 * (cov + cov.T)))
 
     @classmethod
-    def vacuum(cls, mode_labels) -> "GaussianState":
-        labels = tuple(mode_labels)
-        return cls(labels, VACUUM_VARIANCE * np.eye(2 * len(labels)))
+    def vacuum(cls, n_modes: int) -> "GaussianState":
+        return cls(VACUUM_VARIANCE * np.eye(2 * n_modes))
 
     @property
     def n_modes(self) -> int:
-        return len(self.mode_labels)
-
-    def mode_index(self, label: str) -> int:
-        return self.mode_labels.index(label)
-
-    def marginal(self, labels) -> "GaussianState":
-        """Reduced state over the given mode labels (Gaussian partial trace)."""
-        keep = [self.mode_index(lbl) for lbl in labels]
-        idx = np.array([[2 * m, 2 * m + 1] for m in keep]).reshape(-1)
-        return GaussianState(tuple(self.mode_labels[m] for m in keep), self.cov[np.ix_(idx, idx)])
+        return self.cov.shape[0] // 2
 
 
 def drift_diffusion(h: QuadraticHamiltonian, damping) -> DriftDiffusion:
@@ -290,7 +273,7 @@ def evolve(state: GaussianState, dd: DriftDiffusion, t: float) -> GaussianState:
         raise SimulationError(
             f"propagator for evolution time {t} overflowed after {k} squarings"
         )
-    return GaussianState(state.mode_labels, cov)
+    return GaussianState(cov)
 
 
 def steady_state(dd: DriftDiffusion) -> np.ndarray:
@@ -351,23 +334,27 @@ def apply_mode_transform(state: GaussianState, u: np.ndarray) -> GaussianState:
     """Re-express ``state`` in the mode basis d = U c.
 
     The induced quadrature map is symplectic and orthogonal, so
-    symplectic eigenvalues (hence purity) are preserved exactly.
+    symplectic eigenvalues (hence purity) are preserved exactly.  The result
+    is checked again all the same, so even the identity fails from round-off
+    on a ``ProtocolRun.final_state`` at r >= 0.9999: read its ``frame_state``.
     """
     if u.shape[0] != state.n_modes:
         raise InvalidParameterError(
             f"transform is {u.shape[0]}-mode but state has {state.n_modes} modes"
         )
     s = symplectic_from_unitary(u)
-    return GaussianState(state.mode_labels, s @ state.cov @ s.T)
+    return GaussianState(s @ state.cov @ s.T)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a physical covariance matrix, ascending.
 
     These are the moduli of the spectrum of i Omega sigma, deduplicated;
-    all equal to 1/2 exactly for pure states.
+    all equal to 1/2 exactly for pure states.  ``cov`` must be finite and 2n x 2n.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
+        raise InvalidParameterError(f"covariance must be a 2n x 2n matrix, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise InvalidParameterError("covariance must be finite")
     cov = 0.5 * (cov + cov.T)

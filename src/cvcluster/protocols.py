@@ -51,7 +51,7 @@ from .model import (
 from .verify import GRAPH_KINDS as PROTOCOL_KINDS
 from .verify import ClusterGraph, builtin_graph, nullifier_coefficients
 
-#: Mode labels used by every protocol state (index 0 = cavity).
+#: Legend of a protocol state's modes by position (0 = cavity), printed in results.
 MODE_LABELS = ("cavity", "e1", "e2", "e3", "e4")
 
 #: Relative threshold below which off-target couplings count as zero.
@@ -109,7 +109,7 @@ STAGE_PHASE_FACTORS = {
 class ModeTransform:
     """Unitary mapping ensemble modes to combined modes; rows are the d-modes.
 
-    ``symplectic`` is its quadrature map on all of MODE_LABELS (cavity fixed).
+    ``symplectic`` is its quadrature map on all five modes (cavity, mode 0, fixed).
     """
 
     matrix: np.ndarray
@@ -270,16 +270,13 @@ class StageTrace:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Final five-mode state, also in the checked combined-mode frame, plus trace and warnings."""
+    """Final five-mode state, not re-checked (read nu from the checked combined-mode
+    ``frame_state``; see ``apply_mode_transform``), plus trace and warnings."""
 
     final_state: GaussianState
     frame_state: GaussianState
     stages: tuple[StageTrace, ...]
     warnings: tuple[str, ...]
-
-    @property
-    def ensemble_state(self) -> GaussianState:
-        return self.final_state.marginal(MODE_LABELS[1:])
 
 
 def _stage_convergence(report: CouplingReport, kappa: float) -> ConvergenceInfo:
@@ -297,7 +294,6 @@ def _rotated_back(state: GaussianState, s: np.ndarray) -> GaussianState:
     cov = 0.5 * (cov + cov.T)
     cov.flags.writeable = False
     final = object.__new__(GaussianState)
-    object.__setattr__(final, "mode_labels", state.mode_labels)
     object.__setattr__(final, "cov", cov)
     return final
 
@@ -332,7 +328,7 @@ def run_protocol(
     s = protocol.transform.symplectic
     nullifiers = np.array([nullifier_coefficients(protocol.graph, a) for a in range(4)])
     weights = s[2:, 2:] @ nullifiers.T
-    state = GaussianState.vacuum(MODE_LABELS)
+    state = GaussianState.vacuum(5)
     kappa = params.kappa
     traces: list[StageTrace] = []
     warnings: list[str] = []
@@ -358,7 +354,7 @@ def run_protocol(
             cov_d[pair, :] = 0.0
             cov_d[:, pair] = 0.0
             cov_d[np.ix_(pair, pair)] = sigma_pair
-            state = GaussianState(MODE_LABELS, cov_d)
+            state = GaussianState(cov_d)
         else:
             dd = reduced_drift_diffusion(report.beam_splitter, report.squeezing, kappa)
             state = evolve(state, dd, stage.duration)

@@ -56,6 +56,9 @@ class ClusterGraph:
         return 4
 
     def neighbors(self, node: int) -> tuple[int, ...]:
+        """Nodes adjacent to ``node``, an int in 0..3 (a bool is not a node)."""
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < 4:
+            raise InvalidParameterError(f"node must be an int in 0..3, got {node!r}")
         return tuple(int(b) for b in np.flatnonzero(self.adjacency[node]))
 
 
@@ -71,9 +74,10 @@ def builtin_graph(kind: str) -> ClusterGraph:
 
 def nullifier_coefficients(graph: ClusterGraph, node: int) -> np.ndarray:
     """Quadrature coefficient vector w of n_a, in (q1, p1, ..., q4, p4) order."""
+    neighbors = graph.neighbors(node)  # validates node before it indexes w
     w = np.zeros(8)
     w[2 * node + 1] = 1.0
-    for b in graph.neighbors(node):
+    for b in neighbors:
         w[2 * b] = -1.0
     return w
 
@@ -81,16 +85,15 @@ def nullifier_coefficients(graph: ClusterGraph, node: int) -> np.ndarray:
 def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> np.ndarray:
     """Variance w^T sigma w of every nullifier n_a = w . x.
 
-    Reads the quadratures of the non-cavity modes straight from the state's
-    covariance, so the cavity, wherever it sits, is traced out without
-    building the marginal state.
+    The graph's nodes are the state's last four modes, read in place, so a
+    five-mode protocol state's mode 0, the cavity, is traced out.  Raises
+    InvalidParameterError for a state of other than 4 or 5 modes.
     """
-    idx = [i for i in range(2 * state.n_modes) if state.mode_labels[i // 2] != "cavity"]
-    if len(idx) != 2 * graph.n_nodes:
+    if state.n_modes not in (4, 5):
         raise InvalidParameterError(
-            f"state has {len(idx) // 2} non-cavity modes, graph needs {graph.n_nodes}"
+            f"nullifiers need a 4- or 5-mode state (cavity first), got {state.n_modes} modes"
         )
-    cov = state.cov[np.ix_(idx, idx)]
+    cov = state.cov[-8:, -8:]
     out = np.empty(graph.n_nodes)
     for a in range(graph.n_nodes):
         w = nullifier_coefficients(graph, a)

@@ -105,9 +105,9 @@ def test_criterion_5_purity_of_final_states():
     ok = True
     details = []
     for kind in KINDS:
-        ensemble = exact_run(kind).ensemble_state
-        pur = purity(ensemble.cov)
-        nu_err = np.abs(symplectic_eigenvalues(ensemble.cov) - 0.5).max()
+        ensemble = exact_run(kind).final_state.cov[2:, 2:]
+        pur = purity(ensemble)
+        nu_err = np.abs(symplectic_eigenvalues(ensemble) - 0.5).max()
         ok = ok and abs(pur - 1.0) < 1e-8 and nu_err < 1e-8
         details.append(f"{kind}: purity {pur:.10f}, max |nu - 1/2| {nu_err:.2e}")
     report(5, ok, "; ".join(details))
@@ -141,7 +141,7 @@ def test_criterion_7_fock_oracle_equivalence():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=20, cutoff_d=20)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     elapsed = time.perf_counter() - start
     gap = np.abs(result.covariance - gaussian.cov).max()
@@ -202,7 +202,7 @@ def test_criterion_10_property_suites():
     )
 
     # symplectic-eigenvalue invariance under mode transforms to 1e-10
-    state = exact_run("linear").ensemble_state
+    state = GaussianState(exact_run("linear").final_state.cov[2:, 2:])
     base_nu = symplectic_eigenvalues(state.cov)
     invariance = 0.0
     for seed in range(3):
@@ -226,7 +226,7 @@ def test_criterion_10_property_suites():
         h = QuadraticHamiltonian(0.5 * (f + f.conj().T), 0.5 * (g + g.T))
         dd = drift_diffusion(h, rng.uniform(0, 2, 3))
         for t in np.linspace(0.1, 3.0, 7):
-            out = evolve(GaussianState.vacuum(("a", "b", "c")), dd, float(t))
+            out = evolve(GaussianState.vacuum(3), dd, float(t))
             min_nu = min(min_nu, symplectic_eigenvalues(out.cov).min())
 
     # stage decoupling: off-target couplings below 1e-10 * beta

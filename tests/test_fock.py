@@ -227,7 +227,7 @@ def test_matches_gaussian_solver():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t, cutoff_a=12, cutoff_d=12)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t
     )
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-3
     # and the combined mode approaches the squeezed vacuum
@@ -245,7 +245,7 @@ def test_stage_time_off_the_step_grid(t_final):
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert (result.steps, result.dt) == (1, t_final)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
@@ -266,7 +266,7 @@ def test_stage_time_on_the_step_grid_keeps_nominal_steps():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=12, cutoff_d=12)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert (result.steps, result.dt) == (16, 0.25)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
@@ -364,7 +364,7 @@ def test_unequal_cutoffs_match_gaussian_solver():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=10)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert result.rho.shape == (77, 77)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
@@ -376,7 +376,7 @@ def test_short_stage_density_matrix_is_physical():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=8, cutoff_d=8)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-6
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
@@ -389,7 +389,7 @@ def test_strong_coupling_density_matrix_is_physical():
         FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=16, cutoff_d=16)
     )
     gaussian = evolve(
-        GaussianState.vacuum(("cavity", "d")), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
     )
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-3

@@ -30,7 +30,7 @@ from cvcluster import (
     vacuum_targets,
 )
 from cvcluster.model import reduced_drift_diffusion
-from cvcluster.protocols import MODE_LABELS, PROTOCOL_KINDS, STAGE_PHASE_FACTORS, ModeTransform
+from cvcluster.protocols import PROTOCOL_KINDS, STAGE_PHASE_FACTORS, ModeTransform
 from cvcluster.tables import generated_stage, reference_stage
 
 S2 = math.sqrt(2.0)
@@ -186,9 +186,9 @@ def test_exact_solver_reaches_analytic_variances(kind):
 def test_final_four_mode_state_is_pure(kind):
     params = PhysicalParams.from_ratios(2.5, 0.5)
     run = run_protocol(builtin_protocol(kind, params), params)
-    ensemble = run.ensemble_state
-    assert abs(purity(ensemble.cov) - 1.0) < 1e-8
-    assert np.abs(symplectic_eigenvalues(ensemble.cov) - 0.5).max() < 1e-8
+    ensemble = run.final_state.cov[2:, 2:]
+    assert abs(purity(ensemble) - 1.0) < 1e-8
+    assert np.abs(symplectic_eigenvalues(ensemble) - 0.5).max() < 1e-8
 
 
 def test_cavity_factorises_after_every_stage():
@@ -196,8 +196,7 @@ def test_cavity_factorises_after_every_stage():
     run = run_protocol(builtin_protocol("linear", params), params)
     for trace in run.stages:
         assert trace.cavity_cross_norm < 1e-10
-    cav = run.final_state.marginal(("cavity",))
-    assert_allclose(cav.cov, 0.5 * np.eye(2), atol=1e-10)
+    assert_allclose(run.final_state.cov[:2, :2], 0.5 * np.eye(2), atol=1e-10)
 
 
 def test_vanishing_squeezing_leaves_vacuum():
@@ -251,7 +250,7 @@ def test_stage_purity_reads_the_ensemble_block(kind, method):
     ensemble state: S leaves it unchanged, up to round-off."""
     params = PhysicalParams.from_ratios(1.7, 0.6)
     run = run_protocol(builtin_protocol(kind, params), params, method=method)
-    assert abs(run.stages[-1].ensemble_purity - purity(run.ensemble_state.cov)) <= 1e-12
+    assert abs(run.stages[-1].ensemble_purity - purity(run.final_state.cov[2:, 2:])) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
@@ -288,7 +287,7 @@ def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
     stage, under each stage's own Hamiltonian."""
     params = PhysicalParams.from_ratios(2.5, 0.5)
     protocol = builtin_protocol(kind, params, stage_time=stage_time)
-    state = GaussianState.vacuum(MODE_LABELS)
+    state = GaussianState.vacuum(5)
     for stage in protocol.stages:
         dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0))
         state = evolve(state, dd, stage_time)
@@ -412,7 +411,7 @@ def test_a_run_validates_five_states_all_in_the_frame(method, monkeypatch):
     rotated = s.T @ run.frame_state.cov @ s
     assert (run.final_state.cov == 0.5 * (rotated + rotated.T)).all()
     assert not run.final_state.cov.flags.writeable
-    assert run.final_state.mode_labels == MODE_LABELS
+    assert run.final_state.n_modes == 5
 
 
 @pytest.mark.parametrize("method", ["lyapunov_sequential", "time_domain"])

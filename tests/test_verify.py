@@ -81,7 +81,7 @@ def test_nullifier_coefficients_vector():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_vacuum_variances(kind):
-    vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
+    vac = GaussianState.vacuum(4)
     graph = builtin_graph(kind)
     assert_allclose(nullifier_variances(vac, graph), vacuum_targets(graph), atol=1e-14)
 
@@ -96,7 +96,7 @@ def test_vacuum_targets_are_half_of_one_plus_degree():
 def test_every_four_node_graph_keys_its_own_targets():
     """Over all 64 graphs: the vacuum sits at vacuum_targets, the targets at
     squeezing xi are those times e^{-2 xi}, and the vacuum is no cluster."""
-    vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
+    vac = GaussianState.vacuum(4)
     xi = 0.3
     for graph in all_graphs():
         vacuum = vacuum_targets(graph)
@@ -106,36 +106,47 @@ def test_every_four_node_graph_keys_its_own_targets():
 
 
 def test_cavity_is_marginalised_out():
-    vac5 = GaussianState.vacuum(("cavity", "e1", "e2", "e3", "e4"))
+    vac5 = GaussianState.vacuum(5)
     assert_allclose(
         nullifier_variances(vac5, builtin_graph("tshape")), [2.0, 1.0, 1.0, 1.0], atol=1e-14
     )
 
 
-def test_cavity_anywhere_is_traced_out():
-    """Nullifiers read the non-cavity quadratures in place: the same numbers as
-    the formula applied to the marginal, wherever the cavity sits."""
+def test_nullifiers_read_the_last_four_modes():
+    """A five-mode state's nullifiers are those of its last four modes, the
+    ensemble block cov[2:, 2:], read in place."""
     from cvcluster import QuadraticHamiltonian, drift_diffusion, evolve
 
     rng = np.random.default_rng(7)
-    labels = ("e1", "cavity", "e2", "e3", "e4")
     f = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     dd = drift_diffusion(QuadraticHamiltonian(f + f.conj().T, g + g.T), rng.uniform(0.1, 2.0, 5))
-    state = evolve(GaussianState.vacuum(labels), dd, 0.7)
+    state = evolve(GaussianState.vacuum(5), dd, 0.7)
     assert np.abs(state.cov - 0.5 * np.eye(10)).max() > 0.1
-    marginal = state.marginal(("e1", "e2", "e3", "e4"))
+    ensembles = GaussianState(state.cov[2:, 2:])
     for kind in KINDS:
         graph = builtin_graph(kind)
         expected = [
-            w @ marginal.cov @ w for w in (nullifier_coefficients(graph, a) for a in range(4))
+            w @ state.cov[2:, 2:] @ w for w in (nullifier_coefficients(graph, a) for a in range(4))
         ]
-        assert nullifier_variances(state, graph).tolist() == expected
+        assert_allclose(nullifier_variances(state, graph), expected, rtol=1e-15, atol=0)
+        assert_allclose(nullifier_variances(ensembles, graph), expected, rtol=1e-15, atol=0)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(InvalidParameterError):
-        nullifier_variances(GaussianState.vacuum(("a", "b", "c")), builtin_graph("linear"))
+    for n_modes in (3, 6):
+        with pytest.raises(InvalidParameterError, match=f"got {n_modes} modes"):
+            nullifier_variances(GaussianState.vacuum(n_modes), builtin_graph("linear"))
+
+
+@pytest.mark.parametrize("node", [-1, 4, 1.0, True])
+def test_node_outside_0_to_3_is_rejected(node):
+    """Unchecked, -1 would index node 3 from the end, 4 and 1.0 would reach
+    numpy as a bad index, and True would act as node 1."""
+    graph = builtin_graph("linear")
+    for lookup in (graph.neighbors, lambda a: nullifier_coefficients(graph, a)):
+        with pytest.raises(InvalidParameterError, match=rf"node must be an int in 0\.\.3, got {node!r}"):
+            lookup(node)
 
 
 def test_analytic_targets_values():
@@ -169,7 +180,7 @@ def test_is_cluster_accepts_exact_protocol_output():
 
 
 def test_is_cluster_rejects_vacuum_at_positive_squeezing():
-    vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
+    vac = GaussianState.vacuum(4)
     report = is_cluster(vac, builtin_graph("square"), 0.3, tol=10.0)
     assert not report.passed  # generous tolerance must not rescue an unsqueezed state
 
@@ -183,7 +194,7 @@ def test_is_cluster_accepts_time_domain_output():
 
 
 def test_is_cluster_requires_positive_tolerance():
-    vac = GaussianState.vacuum(("e1", "e2", "e3", "e4"))
+    vac = GaussianState.vacuum(4)
     for tol in (0.0, math.nan):  # NaN raises instead of failing every node
         with pytest.raises(InvalidParameterError, match="tolerance"):
             is_cluster(vac, builtin_graph("linear"), 0.1, tol=tol)
@@ -200,5 +211,5 @@ def test_variances_nonnegative_for_random_states():
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         g = 0.5 * (g + g.T)
         dd = drift_diffusion(QuadraticHamiltonian(f, g), rng.uniform(0.1, 2.0, 4))
-        state = evolve(GaussianState.vacuum(("e1", "e2", "e3", "e4")), dd, rng.uniform(0, 2))
+        state = evolve(GaussianState.vacuum(4), dd, rng.uniform(0, 2))
         assert (nullifier_variances(state, graph) >= 0).all()
