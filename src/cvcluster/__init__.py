@@ -55,7 +55,6 @@ from .protocols import (
     builtin_transform,
     run_protocol,
     stage_from_mode_vector,
-    stage_relaxation,
     transformed_coupling,
 )
 from .tables import (
@@ -133,7 +132,6 @@ __all__ = [
     "builtin_transform",
     "run_protocol",
     "stage_from_mode_vector",
-    "stage_relaxation",
     "transformed_coupling",
     "KNOWN_DISCREPANCIES",
     "TableCheckReport",

@@ -48,13 +48,9 @@ _METHODS = {"lyapunov": "lyapunov_sequential", "ode": "time_domain"}
 _DEFAULT_TOL = {"lyapunov": 1e-6, "ode": 0.05}
 
 
-class ConfigError(Exception):
-    """Invalid run configuration; message names the offending field."""
-
-
 def _require_finite(field: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ConfigError(f"field {field!r}: must be a finite number, got {value}")
+        raise InvalidParameterError(f"field {field!r}: must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -83,25 +79,25 @@ class RunConfig:
         ):
             value = getattr(self, field)
             if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise ConfigError(f"field {field!r}: must be {name}, got {value!r}")
+                raise InvalidParameterError(f"field {field!r}: must be {name}, got {value!r}")
         if self.protocol not in PROTOCOL_KINDS:
-            raise ConfigError(f"field 'protocol': unknown value {self.protocol!r}")
+            raise InvalidParameterError(f"field 'protocol': unknown value {self.protocol!r}")
         for field in ("r", "beta", "stage_time"):
             _require_finite(field, getattr(self, field))
         if not 0.0 <= self.r < 1.0:
-            raise ConfigError(f"field 'r': must lie in [0, 1), got {self.r}")
+            raise InvalidParameterError(f"field 'r': must lie in [0, 1), got {self.r}")
         if self.beta <= 0:
-            raise ConfigError(f"field 'beta': must be positive, got {self.beta}")
+            raise InvalidParameterError(f"field 'beta': must be positive, got {self.beta}")
         if self.stage_time <= 0:
-            raise ConfigError(f"field 'stage_time': must be positive, got {self.stage_time}")
+            raise InvalidParameterError(f"field 'stage_time': must be positive, got {self.stage_time}")
         if self.method not in _METHODS:
-            raise ConfigError(f"field 'method': must be one of {sorted(_METHODS)}")
+            raise InvalidParameterError(f"field 'method': must be one of {sorted(_METHODS)}")
         tol = _DEFAULT_TOL[self.method] if self.tol is None else self.tol
         _require_finite("tol", tol)
         if tol <= 0:
-            raise ConfigError(f"field 'tol': must be positive, got {tol}")
+            raise InvalidParameterError(f"field 'tol': must be positive, got {tol}")
         if self.oracle_cutoff < 4:
-            raise ConfigError(f"field 'oracle_cutoff': must be at least 4, got {self.oracle_cutoff}")
+            raise InvalidParameterError(f"field 'oracle_cutoff': must be at least 4, got {self.oracle_cutoff}")
         return replace(self, tol=tol)
 
 
@@ -131,7 +127,7 @@ def _write(doc: dict, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"field 'out': cannot write {out}: {exc}") from exc
+        raise InvalidParameterError(f"field 'out': cannot write {out}: {exc}") from exc
 
 
 def _run_once(config: RunConfig) -> tuple[dict, bool]:
@@ -188,8 +184,7 @@ def _oracle_section(config: RunConfig) -> dict:
             r=config.r,
             kappa=1.0,
             t_final=config.stage_time,
-            cutoff_a=config.oracle_cutoff,
-            cutoff_d=config.oracle_cutoff,
+            cutoff=config.oracle_cutoff,
         )
     )
     dd = two_mode_drift_diffusion(config.beta, config.r, kappa=1.0)
@@ -215,18 +210,18 @@ def _config_from_args(args) -> RunConfig:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"field 'config': cannot read {args.config}: {exc}") from exc
+            raise InvalidParameterError(f"field 'config': cannot read {args.config}: {exc}") from exc
         # accept either a bare config object or a previous result document
         base = loaded.get("resolved_config", loaded) if isinstance(loaded, dict) else loaded
         if not isinstance(base, dict):
-            raise ConfigError("field 'config': document does not contain a config object")
+            raise InvalidParameterError("field 'config': document does not contain a config object")
         unknown = set(base) - set(RunConfig.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"field 'config': unknown fields {sorted(unknown)}")
+            raise InvalidParameterError(f"field 'config': unknown fields {sorted(unknown)}")
     given = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
     merged = {**base, **{name: value for name, value in given.items() if value is not None}}
     if merged.get("protocol") is None:
-        raise ConfigError("field 'protocol': required (flag --protocol or config file)")
+        raise InvalidParameterError("field 'protocol': required (flag --protocol or config file)")
     return RunConfig(**merged).validate()
 
 
@@ -262,11 +257,11 @@ def cmd_sweep(args) -> int:
             for field in ("beta", "r", "stage_time")
         }
     except ValueError as exc:
-        raise ConfigError(f"grid values must be numbers: {exc}") from exc
+        raise InvalidParameterError(f"grid values must be numbers: {exc}") from exc
     if not all(grid.values()):
-        raise ConfigError("field 'beta'/'r'/'stage_time': sweep grid must be nonempty")
+        raise InvalidParameterError("field 'beta'/'r'/'stage_time': sweep grid must be nonempty")
     if args.protocol is None:
-        raise ConfigError("field 'protocol': required")
+        raise InvalidParameterError("field 'protocol': required")
     base = RunConfig(args.protocol, method=args.method, tol=args.tol).validate()
     rows = [
         _sweep_point(replace(base, beta=b, r=r, stage_time=t).validate())
@@ -336,11 +331,11 @@ def cmd_check_tables(args) -> int:
 def cmd_physical(args) -> int:
     payload = {}
     if (args.finesse is None) != (args.round_trip_length is None):
-        raise ConfigError("fields 'finesse' and 'round_trip_length' must be given together")
+        raise InvalidParameterError("fields 'finesse' and 'round_trip_length' must be given together")
     if (args.gamma_over_2pi is None) != (args.drive_ratio is None):
-        raise ConfigError("fields 'gamma_over_2pi' and 'drive_ratio' must be given together")
+        raise InvalidParameterError("fields 'gamma_over_2pi' and 'drive_ratio' must be given together")
     if args.finesse is None and args.gamma_over_2pi is None:
-        raise ConfigError("nothing to compute: give a finesse/length or a gamma/ratio pair")
+        raise InvalidParameterError("nothing to compute: give a finesse/length or a gamma/ratio pair")
     for field in ("finesse", "round_trip_length", "gamma_over_2pi", "drive_ratio"):
         value = getattr(args, field)
         if value is not None:
@@ -384,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cutoff",
         type=int,
         default=None,
-        help="largest photon number per mode of the oracle's basis, which keeps "
-        f"n_a + n_d <= cutoff (default {RunConfig.oracle_cutoff})",
+        help="largest total photon number n_a + n_d of the oracle's basis "
+        f"(default {RunConfig.oracle_cutoff})",
     )
     run.add_argument("--config", default=None, help="JSON config or previous result document")
     run.add_argument("--out", default=None, help="output path (stdout when omitted)")
@@ -424,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SimulationError as exc:

@@ -9,20 +9,19 @@ in a truncated Fock basis by applying the exact propagator of the
 generator, to float64 roundoff, and extracts quadrature moments from the
 density matrix.  Its only approximation is the truncation.  Entirely
 independent of the Gaussian solver (no shared dynamics code), which makes
-it a cross-check: for moderate r and adequate cutoffs every covariance
+it a cross-check: for moderate r and an adequate cutoff every covariance
 entry must match the Gaussian evolution.
 
 The basis is the excitation-number simplex: the number states with
-n_a / cutoff_a + n_d / cutoff_d <= 1, i.e. n_a + n_d <= N for equal
-cutoffs N (231 of the 441 square-basis states at N = 20).  It suffices
-because the pair term a^dag d^dag creates photons in both modes at once
-and a^dag d only moves them between modes: the population falls off with
-the total photon number n_a + n_d, so a square basis n_a, n_d <= N spends
-nearly half its states on pairs like (15, 15) that stay empty long after
-the states n_a + n_d = N fill.  The simplex is closed under a and d.  Its
-boundary, the retained states that a^dag or d^dag maps out of it, carries
-the population the truncation would lose next, and that population is
-checked against LEAKAGE_GUARD.
+n_a + n_d <= N for the one cutoff N (231 of the 441 square-basis states
+at N = 20).  It suffices because the pair term a^dag d^dag creates
+photons in both modes at once and a^dag d only moves them between modes:
+the population falls off with the total photon number n_a + n_d, so a
+square basis n_a, n_d <= N spends nearly half its states on pairs like
+(15, 15) that stay empty long after the states n_a + n_d = N fill.  The simplex is closed under a and d.  Its
+boundary, the shell n_a + n_d = N that a^dag and d^dag map out of it,
+carries the population the truncation would lose next, and that population
+is checked against LEAKAGE_GUARD.
 
 Only the parity sector of rho is integrated: the entries |m><n| whose ket
 and bra have the same parity of n_a + n_d.  a^dag d, a^dag d^dag and their
@@ -69,9 +68,8 @@ _INTERVAL = 0.25
 class FockConfig:
     """Truncated-basis integration settings.
 
-    ``cutoff_a`` / ``cutoff_d`` are the largest retained photon numbers of
-    each mode, integers, reached when the other mode is empty: the basis
-    keeps the states with n_a / cutoff_a + n_d / cutoff_d <= 1.
+    ``cutoff`` N, an integer, is the largest retained total photon number:
+    the basis keeps the states with n_a + n_d <= N.
     There is no time-step setting: the propagator is exact, and
     LEAKAGE_GUARD is checked after each of ceil(t_final / 0.25) equal
     intervals.
@@ -81,19 +79,16 @@ class FockConfig:
     r: float
     kappa: float
     t_final: float
-    cutoff_a: int = 20
-    cutoff_d: int = 20
+    cutoff: int = 20
 
     def __post_init__(self):
         for name in ("beta", "kappa", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("cutoff_a", "cutoff_d"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.cutoff_a < 4 or self.cutoff_d < 4:
-            raise InvalidParameterError("cutoffs must be at least 4")
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)):
+            raise InvalidParameterError(f"cutoff must be an integer, got {self.cutoff!r}")
+        if self.cutoff < 4:
+            raise InvalidParameterError("cutoff must be at least 4")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
         if self.beta < 0 or self.kappa < 0:
@@ -160,23 +155,17 @@ def covariance_from_density(rho: np.ndarray, dims) -> np.ndarray:
     return cov
 
 
-def _simplex(cutoff_a: int, cutoff_d: int) -> tuple[np.ndarray, np.ndarray]:
+def _simplex(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The retained number states and their boundary.
 
-    Returns the ascending square-basis indices n_a * (cutoff_d + 1) + n_d
-    of the states with n_a * cutoff_d + n_d * cutoff_a <= cutoff_a *
-    cutoff_d, and a mask over them of the boundary: the states that a^dag
-    or d^dag maps out of the basis (n_a + n_d = N for equal cutoffs N).
+    Returns the ascending square-basis indices n_a * (N + 1) + n_d of the
+    states in the shell n_a + n_d <= N, N = ``cutoff``, and a mask over them
+    of the boundary n_a + n_d = N: the states that a^dag and d^dag map out
+    of the basis.
     """
-
-    def retained(n_a, n_d):
-        return n_a * cutoff_d + n_d * cutoff_a <= cutoff_a * cutoff_d
-
-    n_a, n_d = np.divmod(np.arange((cutoff_a + 1) * (cutoff_d + 1)), cutoff_d + 1)
-    basis = np.flatnonzero(retained(n_a, n_d))
-    n_a, n_d = n_a[basis], n_d[basis]
-    boundary = ~(retained(n_a + 1, n_d) & retained(n_a, n_d + 1))
-    return basis, boundary
+    total = np.add.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)).reshape(-1)
+    basis = np.flatnonzero(total <= cutoff)
+    return basis, total[basis] == cutoff
 
 
 def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -203,13 +192,13 @@ def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, 
     entries of the n x n restricted rho'.  Each row is the whole-basis
     generator's row with the columns of (i, j) and (j, i) summed into one.
     """
-    da, dd = config.cutoff_a + 1, config.cutoff_d + 1
+    dim = config.cutoff + 1
 
     def restrict(op):
         return op.tocsr()[basis][:, basis]
 
-    a = sp.kron(destroy(da), sp.identity(dd), format="csr")
-    d = sp.kron(sp.identity(da), destroy(dd), format="csr")
+    a = sp.kron(destroy(dim), sp.identity(dim), format="csr")
+    d = sp.kron(sp.identity(dim), destroy(dim), format="csr")
     k = a.T @ d - config.r * (a.T @ d.T)
     k = restrict(k - k.T)
     number_a = restrict(a.T @ a)
@@ -223,7 +212,7 @@ def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, 
         + gamma * sp.kron(a, a)
         - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a))
     )
-    n_a, n_d = np.divmod(basis, dd)
+    n_a, n_d = np.divmod(basis, dim)
     parity = (n_a + n_d) % 2
     rows, cols = np.nonzero(np.triu(parity[:, None] == parity[None, :]))
     upper = rows * n + cols
@@ -269,13 +258,13 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     Higham, SIAM J. Sci. Comput. 33 (2011) 488), accurate to float64 roundoff, so the
     result carries truncation error only.  Aborts with CutoffTooSmallError
     when the boundary of the simplex accumulates more population than
-    LEAKAGE_GUARD.  ``rho`` is the full (cutoff_a + 1)(cutoff_d + 1)
-    square complex density matrix G rho' G^dag, zero outside the sector and
-    the simplex.
+    LEAKAGE_GUARD.  ``rho`` is the full complex density matrix G rho' G^dag
+    on the (N + 1)^2 square-basis states, N = ``cutoff``, zero outside the
+    sector and the simplex.
     """
     from scipy.sparse.linalg import expm_multiply
 
-    basis, boundary = _simplex(config.cutoff_a, config.cutoff_d)
+    basis, boundary = _simplex(config.cutoff)
     generator, upper = _liouvillian(config, basis)
     n = basis.size
     on_boundary = np.searchsorted(upper, np.flatnonzero(boundary) * (n + 1))
@@ -291,23 +280,23 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
         if leakage > LEAKAGE_GUARD:
             raise CutoffTooSmallError(
                 f"population reached the truncation boundary at t = {step * dt:.4g}; "
-                "increase cutoff_a / cutoff_d",
+                "increase cutoff",
                 leakage,
             )
     rows, cols = np.divmod(upper, n)
     gauged = np.zeros((n, n))
     gauged[rows, cols] = vec
     gauged[cols, rows] = vec
+    dim = config.cutoff + 1
     # rho = G rho' G^dag: entry (i, j) picks up i^{n_d(i) - n_d(j)}, exactly
-    n_d = basis % (config.cutoff_d + 1)
+    n_d = basis % dim
     phase = np.array([1, 1j, -1, -1j])[(n_d[:, None] - n_d[None, :]) % 4]
-    dims = (config.cutoff_a + 1, config.cutoff_d + 1)
-    rho = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    rho = np.zeros((dim * dim,) * 2, dtype=complex)
     rho[np.ix_(basis, basis)] = phase * gauged
     trace_error = abs(np.trace(rho).real - 1.0)
     return FockResult(
         rho=rho,
-        covariance=covariance_from_density(rho, dims),
+        covariance=covariance_from_density(rho, (dim, dim)),
         trace_error=trace_error,
         leakage=leakage,
         steps=n_steps,

@@ -185,6 +185,9 @@ class GaussianState:
 
     @classmethod
     def vacuum(cls, n_modes: int) -> "GaussianState":
+        """The vacuum of ``n_modes`` modes, an int of at least 1 (a bool is not a count)."""
+        if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+            raise InvalidParameterError(f"n_modes must be an int of at least 1, got {n_modes!r}")
         return cls(VACUUM_VARIANCE * np.eye(2 * n_modes))
 
     @property
@@ -338,11 +341,11 @@ def apply_mode_transform(state: GaussianState, u: np.ndarray) -> GaussianState:
     is checked again all the same, so even the identity fails from round-off
     on a ``ProtocolRun.final_state`` at r >= 0.9999: read its ``frame_state``.
     """
-    if u.shape[0] != state.n_modes:
-        raise InvalidParameterError(
-            f"transform is {u.shape[0]}-mode but state has {state.n_modes} modes"
-        )
     s = symplectic_from_unitary(u)
+    if s.shape[0] != 2 * state.n_modes:
+        raise InvalidParameterError(
+            f"transform is {s.shape[0] // 2}-mode but state has {state.n_modes} modes"
+        )
     return GaussianState(s @ state.cov @ s.T)
 
 

@@ -113,23 +113,34 @@ class PulseStage:
         if self.duration <= 0:
             raise InvalidParameterError(f"duration must be positive, got {self.duration}")
 
+    def couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cavity-ensemble couplings (bs, sq): bs_j multiplies a^dag c_j and
+        sq_j multiplies a^dag c_j^dag, each 1/2 (the module's prefactor in
+        its units) times amplitude times e^{i phase}."""
+        return (
+            0.5 * self.omega_u * np.exp(1j * self.phi_u),
+            0.5 * self.omega_s * np.exp(1j * self.phi_s),
+        )
+
+
+def _cavity_hamiltonian(bs: np.ndarray, sq: np.ndarray) -> QuadraticHamiltonian:
+    """H = sum_j (bs_j a^dag m_j + sq_j a^dag m_j^dag) + h.c., cavity a = mode 0."""
+    n = bs.size + 1
+    f = np.zeros((n, n), dtype=complex)
+    g = np.zeros((n, n), dtype=complex)
+    f[0, 1:], f[1:, 0] = bs, bs.conj()
+    g[0, 1:] = g[1:, 0] = sq
+    return QuadraticHamiltonian(f, g)
+
 
 def build_effective_hamiltonian(stage: PulseStage) -> QuadraticHamiltonian:
     """Five-mode quadratic Hamiltonian of one pulse stage.
 
-    Mode 0 is the cavity, modes 1..4 the ensembles.  Only cavity-ensemble
-    entries are nonzero; the diagonal free energies vanish on resonance
-    with the shifted lines.  Entries are 1/2 (the module's prefactor in its
-    units) times amplitude times phase, so the stage alone fixes them.
+    Mode 0 is the cavity, modes 1..4 the ensembles.  Only row and column 0,
+    the stage's ``couplings``, are nonzero; the diagonal free energies
+    vanish on resonance with the shifted lines.
     """
-    f = np.zeros((5, 5), dtype=complex)
-    g = np.zeros((5, 5), dtype=complex)
-    for j in range(4):
-        f[0, j + 1] = 0.5 * stage.omega_u[j] * cmath.exp(1j * stage.phi_u[j])
-        f[j + 1, 0] = np.conj(f[0, j + 1])
-        g[0, j + 1] = 0.5 * stage.omega_s[j] * cmath.exp(1j * stage.phi_s[j])
-        g[j + 1, 0] = g[0, j + 1]
-    return QuadraticHamiltonian(f, g)
+    return _cavity_hamiltonian(*stage.couplings())
 
 
 def cavity_damping(kappa: float, n_modes: int = 5) -> np.ndarray:
@@ -154,12 +165,7 @@ def reduced_drift_diffusion(bs_coupling, sq_coupling, kappa: float) -> DriftDiff
     """
     bs = np.atleast_1d(bs_coupling).astype(complex)
     sq = np.atleast_1d(sq_coupling).astype(complex)
-    n = bs.size + 1
-    f = np.zeros((n, n), dtype=complex)
-    g = np.zeros((n, n), dtype=complex)
-    f[0, 1:], f[1:, 0] = bs, bs.conj()
-    g[0, 1:] = g[1:, 0] = sq
-    return drift_diffusion(QuadraticHamiltonian(f, g), cavity_damping(kappa, n))
+    return drift_diffusion(_cavity_hamiltonian(bs, sq), cavity_damping(kappa, bs.size + 1))
 
 
 def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:

@@ -44,7 +44,6 @@ from .model import (
     ConvergenceInfo,
     PhysicalParams,
     PulseStage,
-    build_effective_hamiltonian,
     convergence_eigenvalues,
     reduced_drift_diffusion,
 )
@@ -183,13 +182,13 @@ class CouplingReport:
 def transformed_coupling(stage: PulseStage, transform: ModeTransform) -> CouplingReport:
     """Per-combined-mode couplings of a stage, with target identification.
 
-    A mode counts as the unique target when every other coupling magnitude
-    is below DECOUPLING_TOL times the overall coupling scale.
+    The stage's cavity-ensemble ``couplings`` (bs, sq) become U^* bs and
+    U sq on the combined modes d = U c.  A mode counts as the unique target
+    when every other coupling magnitude is below DECOUPLING_TOL times the
+    overall coupling scale.
     """
-    h = build_effective_hamiltonian(stage)
+    cavity_bs, cavity_sq = stage.couplings()
     u = transform.matrix
-    cavity_bs = h.F[0, 1:]
-    cavity_sq = h.G[0, 1:]
     beam_splitter = u.conj() @ cavity_bs
     squeezing = u @ cavity_sq
     magnitudes = np.maximum(np.abs(beam_splitter), np.abs(squeezing))
@@ -372,16 +371,3 @@ def run_protocol(
             )
         )
     return ProtocolRun(_rotated_back(state, s), state, tuple(traces), tuple(warnings))
-
-
-def stage_relaxation(protocol: Protocol, params: PhysicalParams):
-    """Convergence info of every stage (analytic eigenvalues and time scale).
-
-    Each stage's target couplings come from one ``transformed_coupling``
-    call, as in ``run_protocol``; every stage of a Protocol has a steady
-    state.
-    """
-    return [
-        _stage_convergence(transformed_coupling(stage, protocol.transform), params.kappa)
-        for stage in protocol.stages
-    ]

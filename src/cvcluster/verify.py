@@ -51,10 +51,6 @@ class ClusterGraph:
         adj.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
 
-    @property
-    def n_nodes(self) -> int:
-        return 4
-
     def neighbors(self, node: int) -> tuple[int, ...]:
         """Nodes adjacent to ``node``, an int in 0..3 (a bool is not a node)."""
         if isinstance(node, bool) or not isinstance(node, (int, np.integer)) or not 0 <= node < 4:
@@ -94,8 +90,8 @@ def nullifier_variances(state: GaussianState, graph: ClusterGraph) -> np.ndarray
             f"nullifiers need a 4- or 5-mode state (cavity first), got {state.n_modes} modes"
         )
     cov = state.cov[-8:, -8:]
-    out = np.empty(graph.n_nodes)
-    for a in range(graph.n_nodes):
+    out = np.empty(4)
+    for a in range(4):
         w = nullifier_coefficients(graph, a)
         out[a] = w @ cov @ w
     return out

@@ -138,7 +138,7 @@ def test_criterion_7_fock_oracle_equivalence():
     start = time.perf_counter()
     beta, r, kappa, t_final = 1.0, 0.3, 1.0, 6.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=20, cutoff_d=20)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=20)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final

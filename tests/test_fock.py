@@ -28,18 +28,18 @@ def vacuum_rho(dim):
     return rho
 
 
-def simplex_states(cutoff_a, cutoff_d):
+def simplex_states(cutoff):
     """The number states (n_a, n_d) the oracle keeps, in square-basis order."""
     return [
         (n_a, n_d)
-        for n_a in range(cutoff_a + 1)
-        for n_d in range(cutoff_d + 1)
-        if n_a * cutoff_d + n_d * cutoff_a <= cutoff_a * cutoff_d
+        for n_a in range(cutoff + 1)
+        for n_d in range(cutoff + 1)
+        if n_a + n_d <= cutoff
     ]
 
 
-def square_states(cutoff_a, cutoff_d):
-    return [(n_a, n_d) for n_a in range(cutoff_a + 1) for n_d in range(cutoff_d + 1)]
+def square_states(cutoff):
+    return [(n_a, n_d) for n_a in range(cutoff + 1) for n_d in range(cutoff + 1)]
 
 
 def reference_generator(config, states):
@@ -48,8 +48,8 @@ def reference_generator(config, states):
     basis and then restricted to the states.  Returns (generator, square
     basis indices of the states, indices of the states that a^dag or d^dag
     maps outside them)."""
-    da, dd = config.cutoff_a + 1, config.cutoff_d + 1
-    index = np.array([n_a * dd + n_d for n_a, n_d in states])
+    dim = config.cutoff + 1
+    index = np.array([n_a * dim + n_d for n_a, n_d in states])
     retained = set(states)
     boundary = [
         i
@@ -57,8 +57,8 @@ def reference_generator(config, states):
         if (n_a + 1, n_d) not in retained or (n_a, n_d + 1) not in retained
     ]
     n = len(states)
-    a = sp.kron(destroy(da), sp.identity(dd, format="csr", dtype=complex), format="csr")
-    d = sp.kron(sp.identity(da, format="csr", dtype=complex), destroy(dd), format="csr")
+    a = sp.kron(destroy(dim), sp.identity(dim, format="csr", dtype=complex), format="csr")
+    d = sp.kron(sp.identity(dim, format="csr", dtype=complex), destroy(dim), format="csr")
     h = config.beta * (a.conj().T @ d + config.r * (a.conj().T @ d.conj().T))
     h = (h + h.conj().T).tocsr()[index][:, index]
     number_a = (a.conj().T @ a).tocsr()[index][:, index]
@@ -75,7 +75,7 @@ def reference_generator(config, states):
 
 def on_square_basis(config, index, vec):
     """rho over the retained states, as the square-basis matrix, not symmetrised."""
-    dim = (config.cutoff_a + 1) * (config.cutoff_d + 1)
+    dim = (config.cutoff + 1) ** 2
     rho = np.zeros((dim, dim), dtype=complex)
     rho[np.ix_(index, index)] = vec.reshape(index.size, index.size)
     return rho
@@ -180,21 +180,20 @@ def test_non_finite_density_matrix_rejected(value):
 
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
-        FockConfig(beta=1, r=0.5, kappa=1, t_final=1, cutoff_a=3)
+        FockConfig(beta=1, r=0.5, kappa=1, t_final=1, cutoff=3)
     with pytest.raises(InvalidParameterError):
         FockConfig(beta=1, r=1.0, kappa=1, t_final=1)
 
 
 @pytest.mark.parametrize("value", [6.5, 6.0, True, "6", None])
-@pytest.mark.parametrize("field", ["cutoff_a", "cutoff_d"])
-def test_config_rejects_non_integer_cutoffs(field, value):
-    with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
-        FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, **{field: value})
+def test_config_rejects_non_integer_cutoffs(value):
+    with pytest.raises(InvalidParameterError, match="cutoff must be an integer"):
+        FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=value)
 
 
 def test_config_accepts_numpy_integer_cutoffs():
-    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff_a=np.int64(6))
-    assert integrate_two_mode(config).rho.shape == (147, 147)
+    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=np.int64(8))
+    assert integrate_two_mode(config).rho.shape == (81, 81)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -207,7 +206,7 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 def test_no_squeezing_stays_vacuum():
     result = integrate_two_mode(
-        FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=6.0, cutoff_a=8, cutoff_d=8)
+        FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=6.0, cutoff=8)
     )
     assert np.abs(result.covariance - 0.5 * np.eye(4)).max() < 1e-6
     assert result.trace_error < 1e-8
@@ -215,7 +214,7 @@ def test_no_squeezing_stays_vacuum():
 
 def test_zero_hamiltonian_stays_vacuum():
     result = integrate_two_mode(
-        FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=2.0, cutoff_a=4, cutoff_d=4)
+        FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=2.0, cutoff=4)
     )
     assert np.abs(result.covariance - 0.5 * np.eye(4)).max() < 1e-12
 
@@ -224,7 +223,7 @@ def test_matches_gaussian_solver():
     """Independent cross-check of the two solvers on the same dynamics."""
     beta, r, kappa, t = 1.0, 0.3, 1.0, 6.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t, cutoff_a=12, cutoff_d=12)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t, cutoff=12)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t
@@ -242,7 +241,7 @@ def test_stage_time_off_the_step_grid(t_final):
     """A stage shorter than one interval takes one step of its own length."""
     beta, r, kappa = 1.0, 0.3, 1.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=6)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=6)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
@@ -254,7 +253,7 @@ def test_stage_time_off_the_step_grid(t_final):
 @pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
 def test_grid_times_take_nominal_steps(t_final):
     """t_final / 0.25 is exact, so a grid stage time takes no extra step."""
-    config = FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=t_final, cutoff_a=4, cutoff_d=4)
+    config = FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=t_final, cutoff=4)
     result = integrate_two_mode(config)
     assert (result.steps, result.dt) == (round(t_final * 4), 0.25)
 
@@ -263,7 +262,7 @@ def test_stage_time_on_the_step_grid_keeps_nominal_steps():
     """The default stage time takes 16 exact steps of 0.25 and matches evolve."""
     beta, r, kappa, t_final = 1.0, 0.3, 1.0, 4.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=12, cutoff_d=12)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=12)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
@@ -274,7 +273,7 @@ def test_stage_time_on_the_step_grid_keeps_nominal_steps():
 
 def test_density_matrix_stays_hermitian():
     result = integrate_two_mode(
-        FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=8, cutoff_d=8)
+        FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff=8)
     )
     assert np.abs(result.rho - result.rho.conj().T).max() < 1e-10
 
@@ -286,19 +285,15 @@ def test_density_matrix_stays_hermitian():
         (1.0, 0.1, 2.0, 6),
         (0.8, 0.15, 1.234, 6),
         (1.2, 0.1, 3.0, 6),
-        pytest.param(1.0, 0.05, 2.0, (4, 6), id="1.0-0.05-2.0-4x6"),
     ],
 )
 def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     """Entries coupling different parities of n_a + n_d stay exactly zero,
     so the sector alone, stepped with expm_multiply, gives the dense
     propagator's result on the whole simplex basis to float64 roundoff."""
-    cutoff_a, cutoff_d = cutoff if isinstance(cutoff, tuple) else (cutoff, cutoff)
-    config = FockConfig(
-        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff_a, cutoff_d=cutoff_d
-    )
-    dims = (cutoff_a + 1, cutoff_d + 1)
-    states = simplex_states(cutoff_a, cutoff_d)
+    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    dims = (cutoff + 1, cutoff + 1)
+    states = simplex_states(cutoff)
     rho, leakage = reference_expm(config, states)
     total = np.add.outer(np.arange(dims[0]), np.arange(dims[1])).reshape(-1)
     other_parity = (total[:, None] - total[None, :]) % 2 == 1
@@ -318,18 +313,15 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
 
 @pytest.mark.parametrize(
     "beta,r,t_final,cutoff",
-    [(1.0, 0.1, 2.0, (6, 6)), (1.0, 0.05, 2.0, (4, 6))],
+    [(1.0, 0.1, 2.0, 6), (1.0, 0.05, 2.0, 8)],
 )
 def test_reference_is_real_and_symmetric_in_the_gauge(beta, r, t_final, cutoff):
     """With G = diag(i^{n_d}), the complex reference's G^dag rho G is real
     and symmetric: the symmetry that lets the oracle integrate the real
     upper triangle of the gauged rho alone."""
-    cutoff_a, cutoff_d = cutoff
-    config = FockConfig(
-        beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff_a=cutoff_a, cutoff_d=cutoff_d
-    )
-    rho, _ = reference_expm(config, simplex_states(cutoff_a, cutoff_d))
-    n_d = np.arange((cutoff_a + 1) * (cutoff_d + 1)) % (cutoff_d + 1)
+    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    rho, _ = reference_expm(config, simplex_states(cutoff))
+    n_d = np.arange((cutoff + 1) ** 2) % (cutoff + 1)
     gauge = np.array([1, 1j, -1, -1j])[n_d % 4]
     gauged = gauge.conj()[:, None] * rho * gauge[None, :]
     assert np.abs(gauged.imag).max() <= 1e-15
@@ -340,40 +332,40 @@ def test_generator_is_real_on_the_upper_triangle():
     """At cutoff 20 the generator acts on the 13,486 upper-triangle entries
     of the gauged parity sector (of 26,741 in the sector), in float64."""
     config = FockConfig(beta=1.5, r=0.3, kappa=1.0, t_final=4.0)
-    basis, _ = _simplex(20, 20)
+    basis, _ = _simplex(20)
     generator, upper = _liouvillian(config, basis)
     assert generator.dtype == np.float64
     assert generator.shape == (13_486, 13_486) and upper.size == 13_486
     assert generator.nnz == 117_140
 
 
+@pytest.mark.parametrize("cutoff", [4, 6, 20])
+def test_simplex_is_the_shell_up_to_the_cutoff(cutoff):
+    """The basis keeps the (N + 1)(N + 2) / 2 states n_a + n_d <= N, and
+    the N + 1 states n_a + n_d = N form its boundary."""
+    basis, boundary = _simplex(cutoff)
+    states = simplex_states(cutoff)
+    assert basis.size == len(states) == (cutoff + 1) * (cutoff + 2) // 2
+    assert basis.tolist() == [n_a * (cutoff + 1) + n_d for n_a, n_d in states]
+    assert boundary.sum() == cutoff + 1
+    assert all(boundary == [n_a + n_d == cutoff for n_a, n_d in states])
+
+
 def test_simplex_matches_square_basis():
     """Dropping the states outside the simplex moves the covariance by no
     more than a few times the boundary population."""
-    config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff_a=12, cutoff_d=12)
+    config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff=12)
     dims = (13, 13)
-    square = reference_rk4(config, square_states(12, 12))
+    square = reference_rk4(config, square_states(12))
     result = integrate_two_mode(config)
-    assert len(simplex_states(12, 12)) == 91
+    assert len(simplex_states(12)) == 91
     assert np.abs(result.covariance - covariance_from_density(square, dims)).max() < 1e-8
-
-
-def test_unequal_cutoffs_match_gaussian_solver():
-    beta, r, kappa, t_final = 1.0, 0.2, 1.0, 2.0
-    result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=6, cutoff_d=10)
-    )
-    gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
-    )
-    assert result.rho.shape == (77, 77)
-    assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
 
 
 def test_short_stage_density_matrix_is_physical():
     beta, r, kappa, t_final = 1.5, 0.3, 1.0, 0.5
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=8, cutoff_d=8)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=8)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
@@ -386,7 +378,7 @@ def test_strong_coupling_density_matrix_is_physical():
     """beta near 3 over a 4/kappa stage: rho stays positive to roundoff."""
     beta, r, kappa, t_final = 2.9302, 0.3343, 1.0, 4.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff_a=16, cutoff_d=16)
+        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=16)
     )
     gaussian = evolve(
         GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
@@ -397,9 +389,9 @@ def test_strong_coupling_density_matrix_is_physical():
 
 def test_leakage_guard_reports_the_full_basis_leakage():
     """The guard reads the boundary population the whole simplex basis has."""
-    config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff_a=4, cutoff_d=4)
+    config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff=4)
     with pytest.raises(CutoffTooSmallError) as reference:
-        reference_expm(config, simplex_states(4, 4))
+        reference_expm(config, simplex_states(4))
     with pytest.raises(CutoffTooSmallError) as err:
         integrate_two_mode(config)
     assert abs(err.value.leakage - reference.value.leakage) <= 1e-12
@@ -408,6 +400,6 @@ def test_leakage_guard_reports_the_full_basis_leakage():
 def test_leakage_guard_aborts_on_small_cutoff():
     with pytest.raises(CutoffTooSmallError) as err:
         integrate_two_mode(
-            FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff_a=4, cutoff_d=4)
+            FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff=4)
         )
     assert err.value.leakage > 1e-6

@@ -93,6 +93,15 @@ def test_vacuum_state():
     assert vac.n_modes == 2
 
 
+@pytest.mark.parametrize("n_modes", [-1, 0, 2.5, True])
+def test_vacuum_rejects_a_mode_count_that_is_not_a_positive_int(n_modes):
+    """-1 used to raise numpy's ValueError, 2.5 a TypeError, and True gave
+    a one-mode vacuum."""
+    message = rf"^n_modes must be an int of at least 1, got {n_modes!r}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        GaussianState.vacuum(n_modes)
+
+
 # ----------------------------------------------------------- drift_diffusion
 
 
@@ -386,6 +395,15 @@ def test_transform_preserves_symplectic_spectrum_and_purity():
             symplectic_eigenvalues(out.cov), symplectic_eigenvalues(state.cov), atol=1e-10
         )
         assert abs(purity(out.cov) - purity(state.cov)) < 1e-10
+
+
+def test_transform_given_as_a_nested_list():
+    """A list has no ``shape``: the transform is converted before its size
+    is compared, where it used to raise a raw AttributeError."""
+    state = GaussianState.vacuum(1)
+    assert_allclose(apply_mode_transform(state, [[1.0]]).cov, state.cov, atol=0)
+    with pytest.raises(InvalidParameterError, match="^transform is 2-mode but state has 1 modes$"):
+        apply_mode_transform(state, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_non_unitary_transform_rejected_with_deviation():

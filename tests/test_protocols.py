@@ -18,13 +18,13 @@ from cvcluster import (
     builtin_protocol,
     builtin_transform,
     cavity_damping,
+    convergence_eigenvalues,
     drift_diffusion,
     evolve,
     nullifier_variances,
     purity,
     run_protocol,
     stage_from_mode_vector,
-    stage_relaxation,
     symplectic_eigenvalues,
     transformed_coupling,
     vacuum_targets,
@@ -304,14 +304,6 @@ def test_slow_regime_warning_collected():
     assert np.abs(variances - exact_targets("linear", 0.5)).max() < 1e-8
 
 
-def test_stage_relaxation_infos():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
-    infos = stage_relaxation(builtin_protocol("tshape", params), params)
-    assert len(infos) == 4
-    assert all(info.regime == "underdamped" for info in infos)
-    assert all(abs(info.time_to_steady - 4.0) < 1e-12 for info in infos)
-
-
 def rescaled_stages(protocol, swap, squeeze):
     """The protocol's stages with both channels driven at ``swap`` and
     ``squeeze`` times the original beam-splitter amplitudes."""
@@ -374,13 +366,16 @@ def test_a_stage_just_below_the_line_runs_under_both_methods():
     [(0.5, 0.0), (0.3, 0.5), (0.577350269189626, 0.5), (1.0, 0.0), (1.0, 0.9), (2.5, 0.5)],
 )
 def test_stage_relaxation_and_run_agree_on_the_slow_regime(kind, beta, r):
-    """One rule decides slowness: the critical point (beta 0.5, r 0) is slow
-    in both, as is every stage that is not underdamped."""
+    """One rule decides slowness: each stage's recorded flag is the
+    relaxation spectrum's ``slow`` at the couplings the run recorded, and a
+    stage that is not underdamped, the critical one included, is slow.  At
+    beta 0.5, r 0 the stages sit on the critical line, where round-off
+    decides (tshape stage 3 has |bs| = 0.5000000000000001 and is
+    underdamped), so the bare law beta sqrt(1 - r^2) <= 1/2 is not the test."""
     params = PhysicalParams.from_ratios(beta, r)
-    protocol = builtin_protocol(kind, params)
-    infos = stage_relaxation(protocol, params)
-    traces = run_protocol(protocol, params).stages
-    assert [info.slow for info in infos] == [trace.slow_regime for trace in traces]
+    for trace in run_protocol(builtin_protocol(kind, params), params).stages:
+        bs, sq = abs(trace.beam_splitter), abs(trace.squeezing)
+        assert trace.slow_regime == convergence_eigenvalues(bs, sq / bs, 1.0).slow
 
 
 def test_unknown_method_rejected():
