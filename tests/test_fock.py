@@ -186,9 +186,18 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [6.5, 6.0, True, "6", None])
-def test_config_rejects_non_integer_cutoffs(value):
+@pytest.mark.parametrize("mode", ["cutoff_a", "cutoff_d"])
+def test_config_rejects_non_integer_cutoffs(mode, value):
+    """The one cutoff N is the cutoff of the cavity mode a and of the combined
+    mode d alike: a value that is not an integer is rejected, and an integer N
+    keeps n = 0..N of each mode in the basis."""
     with pytest.raises(InvalidParameterError, match="cutoff must be an integer"):
         FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=value)
+    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=6)
+    basis, _ = _simplex(config.cutoff)
+    n_a, n_d = np.divmod(basis, config.cutoff + 1)
+    photons = n_a if mode == "cutoff_a" else n_d
+    assert sorted(set(photons.tolist())) == list(range(config.cutoff + 1))
 
 
 def test_config_accepts_numpy_integer_cutoffs():
