@@ -13,7 +13,6 @@ use, so ``import cvcluster`` needs numpy alone.
 from .errors import (
     CutoffTooSmallError,
     InvalidParameterError,
-    InvalidTransformError,
     NonHurwitzError,
     SimulationError,
     UnphysicalStateError,
@@ -36,7 +35,6 @@ from .model import (
     PhysicalParams,
     PulseStage,
     build_effective_hamiltonian,
-    cavity_damping,
     cavity_decay_from_finesse,
     convergence_eigenvalues,
     effective_spontaneous_rate,
@@ -92,7 +90,6 @@ def __getattr__(name):
 __all__ = [
     "CutoffTooSmallError",
     "InvalidParameterError",
-    "InvalidTransformError",
     "NonHurwitzError",
     "SimulationError",
     "UnphysicalStateError",
@@ -115,7 +112,6 @@ __all__ = [
     "PhysicalParams",
     "PulseStage",
     "build_effective_hamiltonian",
-    "cavity_damping",
     "cavity_decay_from_finesse",
     "convergence_eigenvalues",
     "effective_spontaneous_rate",

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration problems are
-``InvalidParameterError`` (exit 2), and every other ``SimulationError`` is
-a physics failure (exit 3): unstable drift (``NonHurwitzError``), Fock-basis
-overflow (``CutoffTooSmallError``), an unphysical state
-(``UnphysicalStateError``) or a non-unitary transform.
+The CLI maps these onto exit codes: a bad argument, a non-unitary mode
+transform included, is ``InvalidParameterError`` (exit 2), and every other
+``SimulationError`` is a physics failure (exit 3): unstable drift
+(``NonHurwitzError``), Fock-basis overflow (``CutoffTooSmallError``) or an
+unphysical state (``UnphysicalStateError``).
 """
 
 
@@ -14,20 +14,6 @@ class SimulationError(Exception):
 
 class InvalidParameterError(SimulationError, ValueError):
     """An argument violates a documented precondition."""
-
-
-class InvalidTransformError(SimulationError, ValueError):
-    """A mode-transform matrix is not unitary.
-
-    Attributes
-    ----------
-    deviation : float
-        Frobenius norm of ``U @ U^dag - I``.
-    """
-
-    def __init__(self, message: str, deviation: float):
-        super().__init__(f"{message} (deviation {deviation:.3e})")
-        self.deviation = deviation
 
 
 class UnphysicalStateError(SimulationError, ValueError):

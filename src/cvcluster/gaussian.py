@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
-    InvalidTransformError,
     NonHurwitzError,
     SimulationError,
     UnphysicalStateError,
@@ -314,17 +313,18 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     q'_j = sum_k (Re U_jk q_k - Im U_jk p_k),
     p'_j = sum_k (Im U_jk q_k + Re U_jk p_k).
 
-    Raises InvalidTransformError when |U U^dag - I| exceeds UNITARITY_TOL.
+    Raises InvalidParameterError when U is not square or not finite, or when
+    |U U^dag - I| exceeds UNITARITY_TOL.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if u.shape != (n, n):
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidParameterError(f"transform must be square, got {u.shape}")
+    n = u.shape[0]
     if not np.isfinite(u).all():
         raise InvalidParameterError("transform must be finite")
     deviation = float(np.linalg.norm(u @ u.conj().T - np.eye(n)))
     if deviation > UNITARITY_TOL:
-        raise InvalidTransformError("mode transform is not unitary", deviation)
+        raise InvalidParameterError(f"mode transform is not unitary (deviation {deviation:.3e})")
     s = np.zeros((2 * n, 2 * n))
     s[0::2, 0::2] = u.real
     s[0::2, 1::2] = -u.imag

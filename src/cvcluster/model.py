@@ -11,9 +11,9 @@ each ensemble behaves as a bosonic mode c_j, and the interaction reduces to
 i.e. tunable beam-splitter and squeezing couplings between the cavity mode
 ``a`` and the ensemble modes.  Rabi amplitudes are measured in units of
 Delta / (sqrt(N) g), so the prefactor is 1/2 and the coupling scale
-beta = sqrt(N) g Omega / Delta is the amplitude scale Omega itself.  Every
-protocol quantity then depends only on beta/kappa and r; SI units enter
-only through the two estimator helpers at the bottom.
+beta = sqrt(N) g Omega / Delta is the amplitude scale Omega itself: the
+stage builders take beta as Omega.  Every protocol quantity then depends
+only on beta/kappa and r; SI units enter only through the two estimators.
 
 Cavity decay convention: ``kappa`` is the field (amplitude) decay rate, half
 the photon-number decay rate.  The matching Lindblad dissipator is therefore
@@ -68,13 +68,8 @@ class PhysicalParams:
 
     @classmethod
     def from_ratios(cls, beta: float, r: float, kappa: float = 1.0) -> "PhysicalParams":
-        """Dimensionless operating point with the given beta/kappa and r."""
+        """The constructor, kappa 1 by default; the benchmark's sweep reference calls it."""
         return cls(beta, r, kappa)
-
-    @property
-    def omega(self) -> float:
-        """Rabi-amplitude scale, beta in units of Delta / (sqrt(N) g)."""
-        return self.beta
 
     @property
     def xi(self) -> float:
@@ -143,29 +138,19 @@ def build_effective_hamiltonian(stage: PulseStage) -> QuadraticHamiltonian:
     return _cavity_hamiltonian(*stage.couplings())
 
 
-def cavity_damping(kappa: float, n_modes: int = 5) -> np.ndarray:
-    """Per-mode Lindblad rates for cavity loss, 2 kappa on mode 0.
-
-    kappa is the field decay rate (half-width); the gamma * D[a]
-    normalisation used by drift_diffusion therefore takes gamma = 2 kappa.
-    """
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise InvalidParameterError(f"kappa must be finite and nonnegative, got {kappa}")
-    rates = np.zeros(n_modes)
-    rates[0] = 2.0 * kappa
-    return rates
-
-
 def reduced_drift_diffusion(bs_coupling, sq_coupling, kappa: float) -> DriftDiffusion:
     """Moment generator of the damped cavity + combined modes d_j.
 
     H = sum_j (bs_j a^dag d_j + sq_j a^dag d_j^dag) + h.c., with cavity loss
-    2 kappa D[a].  Scalars give one mode d, 4-vectors all four (a stage in
-    the combined-mode frame).
+    2 kappa D[a]: Lindblad rate 2 kappa on the cavity (mode 0), 0 on every
+    d_j.  Scalars give one mode d, 4-vectors all four (a stage in the
+    combined-mode frame).  ``drift_diffusion`` rejects a negative kappa and
+    ``DriftDiffusion`` a NaN or infinite one.
     """
     bs = np.atleast_1d(bs_coupling).astype(complex)
     sq = np.atleast_1d(sq_coupling).astype(complex)
-    return drift_diffusion(_cavity_hamiltonian(bs, sq), cavity_damping(kappa, bs.size + 1))
+    rates = np.concatenate(([2.0 * kappa], np.zeros(bs.size)))
+    return drift_diffusion(_cavity_hamiltonian(bs, sq), rates)
 
 
 def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:
@@ -179,7 +164,6 @@ class ConvergenceInfo:
 
     lambda_plus: complex
     lambda_minus: complex
-    time_to_steady: float
     regime: str  # "underdamped" | "critical" | "slow" | "no-preparation"
 
     @property
@@ -191,12 +175,10 @@ class ConvergenceInfo:
 def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceInfo:
     """Drift eigenvalues lambda_+- = -kappa/2 +- sqrt((kappa/2)^2 - beta^2 (1-r^2)).
 
-    When beta sqrt(1-r^2) > kappa/2 the stage is underdamped, relaxes on
-    the 2/kappa scale and a pulse length of 4/kappa is comfortably past
-    steady state.  Otherwise the slow eigenvalue dictates the time scale
-    (8 / |Re lambda_slow|) and the stage is flagged.  Raises
-    InvalidParameterError when beta or kappa is so large that its square
-    is not finite.
+    The regime is "underdamped" when beta sqrt(1-r^2) > kappa/2 (complex
+    pair), "critical" at equality, "slow" below it, and "no-preparation"
+    when the slow eigenvalue is 0.  Raises InvalidParameterError when beta
+    or kappa is so large that its square is not finite.
     """
     beta, kappa = float(beta), float(kappa)
     for name, value in (("beta", beta), ("kappa", kappa)):
@@ -215,13 +197,12 @@ def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceI
     lam_p = -half + root
     lam_m = -half - root
     if disc < 0:
-        return ConvergenceInfo(lam_p, lam_m, 4.0 / kappa, "underdamped")
+        return ConvergenceInfo(lam_p, lam_m, "underdamped")
     if disc == 0:
-        return ConvergenceInfo(lam_p, lam_m, 8.0 / half, "critical")
-    slow_re = abs(max(lam_p.real, lam_m.real))
-    if slow_re == 0:
-        return ConvergenceInfo(lam_p, lam_m, math.inf, "no-preparation")
-    return ConvergenceInfo(lam_p, lam_m, 8.0 / slow_re, "slow")
+        return ConvergenceInfo(lam_p, lam_m, "critical")
+    if max(lam_p.real, lam_m.real) == 0:
+        return ConvergenceInfo(lam_p, lam_m, "no-preparation")
+    return ConvergenceInfo(lam_p, lam_m, "slow")
 
 
 def cavity_decay_from_finesse(finesse: float, round_trip_length: float) -> float:

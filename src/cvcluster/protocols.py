@@ -41,7 +41,6 @@ from .gaussian import (
     symplectic_from_unitary,
 )
 from .model import (
-    ConvergenceInfo,
     PhysicalParams,
     PulseStage,
     convergence_eigenvalues,
@@ -247,7 +246,7 @@ def builtin_protocol(
     duration = stage_time if stage_time is not None else 4.0 / params.kappa
     factors = STAGE_PHASE_FACTORS[kind]
     stages = tuple(
-        stage_from_mode_vector(factors[j] * transform.matrix[j], params.omega, params.r, duration)
+        stage_from_mode_vector(factors[j] * transform.matrix[j], params.beta, params.r, duration)
         for j in range(4)
     )
     return Protocol(transform, stages, builtin_graph(kind))
@@ -276,15 +275,6 @@ class ProtocolRun:
     frame_state: GaussianState
     stages: tuple[StageTrace, ...]
     warnings: tuple[str, ...]
-
-
-def _stage_convergence(report: CouplingReport, kappa: float) -> ConvergenceInfo:
-    """Relaxation spectrum of a stage, whose target couplings (bs, sq) are
-    read off its coupling report: the two-mode model at beta = |bs|,
-    r = |sq| / |bs|, which lies in [0, 1) for every stage of a Protocol.
-    """
-    beta = abs(report.beam_splitter[report.target])
-    return convergence_eigenvalues(beta, abs(report.squeezing[report.target]) / beta, kappa)
 
 
 def _rotated_back(state: GaussianState, s: np.ndarray) -> GaussianState:
@@ -335,7 +325,7 @@ def run_protocol(
         report = transformed_coupling(stage, protocol.transform)
         target = report.target  # never None: the couplings depend on the stage alone
         bs, sq = complex(report.beam_splitter[target]), complex(report.squeezing[target])
-        slow = _stage_convergence(report, kappa).slow
+        slow = convergence_eigenvalues(abs(bs), abs(sq) / abs(bs), kappa).slow
         if slow:
             warnings.append(
                 f"stage {k + 1}: slow regime, effective coupling gap "

@@ -234,7 +234,7 @@ def test_criterion_10_property_suites():
     for kind in KINDS:
         for index in range(1, 5):
             rep = transformed_coupling(
-                generated_stage(kind, index, params.omega, params.r),
+                generated_stage(kind, index, params.beta, params.r),
                 builtin_transform(kind),
             )
             off = np.delete(np.abs(rep.beam_splitter), rep.target).max()

@@ -198,6 +198,28 @@ def test_run_oracle_leakage_is_physics_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("cutoff", [cvcluster.cli.ORACLE_CUTOFF_MAX + 1, 120, 10**30])
+def test_oracle_cutoff_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, cutoff, route):
+    """The oracle's memory grows as N^4: a cutoff above the cap exits 2 before
+    the oracle runs, where 10**30 once ended in a traceback and exit 1."""
+    def never(config):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", never)
+    out = tmp_path / "x.json"
+    if route == "flag":
+        argv = ["--protocol", "linear", "--oracle", "--oracle-cutoff", str(cutoff)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"protocol": "linear", "oracle": True, "oracle_cutoff": cutoff}))
+        argv = ["--config", str(config)]
+    assert run_cli("run", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"field 'oracle_cutoff': must be at most {cvcluster.cli.ORACLE_CUTOFF_MAX}" in err
+    assert not out.exists()
+
+
 def test_long_strongly_squeezed_stage_stays_physical(tmp_path):
     # strong squeezing over a long stage: once the propagator lost digits
     # here and missed the uncertainty bound by 3e-9 (exit 3); squaring the

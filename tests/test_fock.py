@@ -322,7 +322,7 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
 
 @pytest.mark.parametrize(
     "beta,r,t_final,cutoff",
-    [(1.0, 0.1, 2.0, 6), (1.0, 0.05, 2.0, 8)],
+    [(1.0, 0.1, 2.0, 6), (1.0, 0.05, 2.0, 7)],
 )
 def test_reference_is_real_and_symmetric_in_the_gauge(beta, r, t_final, cutoff):
     """With G = diag(i^{n_d}), the complex reference's G^dag rho G is real

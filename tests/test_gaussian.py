@@ -13,7 +13,6 @@ from cvcluster import (
     DriftDiffusion,
     GaussianState,
     InvalidParameterError,
-    InvalidTransformError,
     NonHurwitzError,
     PhysicalParams,
     QuadraticHamiltonian,
@@ -23,7 +22,6 @@ from cvcluster import (
     build_effective_hamiltonian,
     builtin_protocol,
     builtin_transform,
-    cavity_damping,
     drift_diffusion,
     evolve,
     purity,
@@ -246,7 +244,7 @@ def test_evolve_matches_scipy_block_expm_on_random_stages():
         params = PhysicalParams.from_ratios(beta, r, kappa=1.0)
         protocol = builtin_protocol(PROTOCOL_KINDS[i % 3], params)
         for stage in protocol.stages:
-            dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0, 5))
+            dd = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
             t = rng.uniform(0.05, 8.0)
             b = rng.normal(size=(10, 10)) * 0.3
             state = GaussianState(0.5 * np.eye(10) + b @ b.T)
@@ -304,7 +302,7 @@ def test_evolve_reports_an_overflowing_propagator_as_a_simulation_error():
     not a bad argument, and it warns nothing on the way."""
     params = PhysicalParams.from_ratios(2.5, 0.5)
     stage = builtin_protocol("linear", params).stages[0]
-    dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0))
+    dd = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
     with pytest.raises(SimulationError, match="evolution time 1e\\+300") as info:
         evolve(GaussianState.vacuum(5), dd, 1e300)
     assert not isinstance(info.value, InvalidParameterError)
@@ -409,9 +407,15 @@ def test_transform_given_as_a_nested_list():
 def test_non_unitary_transform_rejected_with_deviation():
     state = GaussianState.vacuum(2)
     bad = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(InvalidTransformError) as err:
+    with pytest.raises(InvalidParameterError, match=r"not unitary \(deviation"):
         apply_mode_transform(state, bad)
-    assert err.value.deviation > 0.1
+
+
+@pytest.mark.parametrize("u", [1.0, np.array(1.0)], ids=["float", "0-d-array"])
+def test_zero_dimensional_transform_is_rejected_as_not_square(u):
+    """A 0-d input has no shape[0]: it used to raise a raw IndexError."""
+    with pytest.raises(InvalidParameterError, match=r"^transform must be square, got \(\)$"):
+        apply_mode_transform(GaussianState.vacuum(1), u)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)])

@@ -12,12 +12,12 @@ from cvcluster import (
     PhysicalParams,
     PulseStage,
     build_effective_hamiltonian,
-    cavity_damping,
     cavity_decay_from_finesse,
     convergence_eigenvalues,
     effective_spontaneous_rate,
     two_mode_drift_diffusion,
 )
+from cvcluster.model import reduced_drift_diffusion
 from cvcluster.tables import generated_stage
 
 
@@ -71,13 +71,13 @@ def test_from_ratios_rejects_non_finite_numbers(value):
 
 def test_from_ratios_reproduces_beta():
     """The operating point is (beta, r, kappa).  Rabi amplitudes are in units
-    of Delta / (sqrt(N) g): omega is beta.  The prefactor 1/2 that every
-    amplitude carries belongs to the stage Hamiltonian (see
-    test_hamiltonian_linear_first_stage_entries)."""
+    of Delta / (sqrt(N) g), so beta is also the amplitude scale Omega.  The
+    prefactor 1/2 that every amplitude carries belongs to the stage
+    Hamiltonian (see test_hamiltonian_linear_first_stage_entries)."""
     assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["beta", "r", "kappa"]
     params = PhysicalParams.from_ratios(2.5, 0.5)
     assert params == PhysicalParams(2.5, 0.5, 1.0)
-    assert (params.beta, params.omega, params.r, params.kappa) == (2.5, 2.5, 0.5, 1.0)
+    assert (params.beta, params.r, params.kappa) == (2.5, 0.5, 1.0)
     assert abs(params.xi - math.atanh(0.5)) < 1e-15
 
 
@@ -118,7 +118,7 @@ def test_hamiltonian_linear_first_stage_entries():
     params = PhysicalParams(beta=1.7, r=0.3, kappa=1.0)
     beta = params.beta
     r = params.r
-    st = generated_stage("linear", 1, omega=params.omega, r=r)
+    st = generated_stage("linear", 1, omega=params.beta, r=r)
     h = build_effective_hamiltonian(st)
     assert abs(h.F[0, 1] - (-1j * beta / math.sqrt(2))) < 1e-12
     assert abs(h.F[0, 2] - (-beta / math.sqrt(2))) < 1e-12
@@ -151,16 +151,20 @@ def test_hamiltonian_linear_in_amplitudes():
 
 
 def test_cavity_damping_vector():
-    rates = cavity_damping(1.5)
-    assert_allclose(rates, [3.0, 0, 0, 0, 0])
-    with pytest.raises(InvalidParameterError):
-        cavity_damping(-1.0)
+    """Cavity loss 2 kappa D[a] on mode 0 only: D = diag(kappa, kappa, 0, 0)."""
+    dd = reduced_drift_diffusion(1.0, 0.5, 1.5)
+    assert_allclose(dd.D, np.diag([1.5, 1.5, 0, 0]), atol=0)
+    with pytest.raises(InvalidParameterError, match="damping rates must be nonnegative"):
+        reduced_drift_diffusion(1.0, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
 def test_cavity_damping_rejects_non_finite_kappa(kappa):
-    with pytest.raises(InvalidParameterError, match="kappa must be finite and nonnegative"):
-        cavity_damping(kappa)
+    """Checked downstream: a negative rate by drift_diffusion, a NaN or
+    infinite one by DriftDiffusion."""
+    message = "damping rates must be nonnegative" if kappa < 0 else "drift matrix A must be finite"
+    with pytest.raises(InvalidParameterError, match=message):
+        reduced_drift_diffusion(1.0, 0.5, kappa)
 
 
 @pytest.mark.parametrize(
@@ -168,13 +172,13 @@ def test_cavity_damping_rejects_non_finite_kappa(kappa):
     [
         ((math.nan, 0.5, 1.0), "F must be finite"),
         ((1.0, math.nan, 1.0), "G must be finite"),
-        ((1.0, 0.5, math.nan), "kappa must be finite"),
-        ((1.0, 0.5, math.inf), "kappa must be finite"),
+        ((1.0, 0.5, math.nan), "A must be finite"),
+        ((1.0, 0.5, math.inf), "A must be finite"),
     ],
 )
 def test_two_mode_generator_rejects_non_finite_inputs(args, name):
-    """A NaN coupling or rate is named up front instead of reaching
-    steady_state or the PSD check as numpy's LinAlgError."""
+    """A NaN coupling or rate is rejected by the generator's own checks
+    instead of reaching steady_state or the PSD check as numpy's LinAlgError."""
     with pytest.raises(InvalidParameterError, match=name):
         two_mode_drift_diffusion(*args)
 
@@ -235,7 +239,6 @@ def test_convergence_eigenvalues_underdamped():
     assert abs(info.lambda_plus - (-0.5 + 1j * math.sqrt(3) / 2)) < 1e-14
     assert abs(info.lambda_minus - (-0.5 - 1j * math.sqrt(3) / 2)) < 1e-14
     assert info.regime == "underdamped"
-    assert abs(info.time_to_steady - 4.0) < 1e-14
     assert not info.slow
 
 
@@ -244,7 +247,6 @@ def test_convergence_eigenvalues_no_coupling():
     assert abs(info.lambda_plus) < 1e-15
     assert abs(info.lambda_minus + 1.0) < 1e-15
     assert info.regime == "no-preparation"
-    assert info.time_to_steady == math.inf
     assert info.slow
 
 
@@ -258,9 +260,10 @@ def test_convergence_eigenvalues_critical():
 
 def test_convergence_eigenvalues_slow():
     info = convergence_eigenvalues(0.3, 0.0, 1.0)
+    assert abs(info.lambda_plus + 0.1) < 1e-14  # -1/2 + sqrt(1/4 - 0.09)
+    assert abs(info.lambda_minus + 0.9) < 1e-14
     assert info.regime == "slow"
-    slow_re = abs(max(info.lambda_plus.real, info.lambda_minus.real))
-    assert abs(info.time_to_steady - 8.0 / slow_re) < 1e-12
+    assert info.slow
 
 
 def test_convergence_eigenvalues_validation():

@@ -1,6 +1,7 @@
 """Tests for the mode transforms, stage synthesis and protocol runners."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ from cvcluster import (
     builtin_graph,
     builtin_protocol,
     builtin_transform,
-    cavity_damping,
     convergence_eigenvalues,
     drift_diffusion,
     evolve,
+    is_cluster,
     nullifier_variances,
     purity,
     run_protocol,
@@ -128,7 +129,7 @@ def test_mode_transform_rejects_non_finite_entries(value):
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
 def test_generated_stages_couple_to_single_mode(kind, index):
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    st = generated_stage(kind, index, omega=params.omega, r=params.r)
+    st = generated_stage(kind, index, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform(kind))
     assert report.target == index - 1
     beta = params.beta
@@ -150,7 +151,7 @@ def test_reference_square_stage_one_is_inconsistent():
     """The literal first square table (squeezing channel missing the factor r
     on ensembles 3, 4) leaks squeezing onto a second combined mode."""
     params = PhysicalParams.from_ratios(1.0, 0.5)
-    st = reference_stage("square", 1, omega=params.omega, r=params.r)
+    st = reference_stage("square", 1, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform("square"))
     beta = params.beta
     assert abs(report.beam_splitter[0] - beta) < 1e-12
@@ -165,7 +166,7 @@ def test_reference_square_stage_one_is_inconsistent():
 def test_protocol_requires_four_distinct_targets():
     params = PhysicalParams.from_ratios(1.0, 0.5)
     transform = builtin_transform("linear")
-    stages = [generated_stage("linear", i, params.omega, params.r) for i in (1, 1, 3, 4)]
+    stages = [generated_stage("linear", i, params.beta, params.r) for i in (1, 1, 3, 4)]
     with pytest.raises(InvalidParameterError):
         Protocol(transform, tuple(stages), builtin_graph("linear"))
     with pytest.raises(InvalidParameterError):
@@ -273,9 +274,7 @@ def test_frame_generator_is_the_rotated_stage_generator(kind, beta, r):
     for stage in protocol.stages:
         report = transformed_coupling(stage, protocol.transform)
         frame = reduced_drift_diffusion(report.beam_splitter, report.squeezing, params.kappa)
-        ensemble = drift_diffusion(
-            build_effective_hamiltonian(stage), cavity_damping(params.kappa)
-        )
+        ensemble = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
         assert np.abs(frame.A - s @ ensemble.A @ s.T).max() <= 1e-15
         assert (frame.D == ensemble.D).all()
 
@@ -289,7 +288,7 @@ def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
     protocol = builtin_protocol(kind, params, stage_time=stage_time)
     state = GaussianState.vacuum(5)
     for stage in protocol.stages:
-        dd = drift_diffusion(build_effective_hamiltonian(stage), cavity_damping(1.0))
+        dd = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
         state = evolve(state, dd, stage_time)
     run = run_protocol(protocol, params, method="time_domain")
     assert np.abs(run.final_state.cov - state.cov).max() <= 1e-12
@@ -426,8 +425,30 @@ def test_tshape_phase_factors_flip_three_quadratures():
     factors = np.array(STAGE_PHASE_FACTORS["tshape"])
     assert_allclose(factors**2, [-1, -1, -1, 1], atol=1e-15)
     params = PhysicalParams.from_ratios(2.0, 0.5)
-    st = generated_stage("tshape", 1, omega=params.omega, r=params.r)
+    st = generated_stage("tshape", 1, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform("tshape"))
     # beam-splitter coupling picks up the factor i, squeezing its conjugate
     assert abs(report.beam_splitter[0] - 1j * params.beta) < 1e-12
     assert abs(report.squeezing[0] - (-1j * params.r * params.beta)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_only_the_builtin_squeeze_pattern_prepares_the_cluster(kind):
+    """A wrong protocol fails: of the 16 phase-factor patterns, each factor
+    1 or i (one per squeeze-direction pattern factor^2 = +-1), exactly the
+    built-in squares leave a state that passes is_cluster."""
+    squares = {"linear": (1, 1, 1, 1), "square": (1, 1, 1, 1), "tshape": (-1, -1, -1, 1)}[kind]
+    params = PhysicalParams.from_ratios(2.5, 0.5)
+    transform = builtin_transform(kind)
+    passing = []
+    for factors in itertools.product((1.0, 1j), repeat=4):
+        stages = tuple(
+            stage_from_mode_vector(f * row, params.beta, params.r, 4.0)
+            for f, row in zip(factors, transform.matrix)
+        )
+        protocol = Protocol(transform, stages, builtin_graph(kind))
+        final = run_protocol(protocol, params).final_state
+        if is_cluster(final, protocol.graph, params.xi, tol=1e-6).passed:
+            passing.append(tuple(round((f * f).real) for f in factors))
+    assert passing == [squares]
+    assert tuple(round((f * f).real) for f in STAGE_PHASE_FACTORS[kind]) == squares

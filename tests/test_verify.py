@@ -179,6 +179,21 @@ def test_is_cluster_accepts_exact_protocol_output():
     assert report.node_passed.all()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_the_builtin_graph_passes_on_a_protocol_state(kind):
+    """A wrong graph fails: of the 64 four-node graphs, exactly the one the
+    protocol targets passes on its final state."""
+    params = PhysicalParams.from_ratios(2.5, 0.5)
+    final = run_protocol(builtin_protocol(kind, params), params).final_state
+    passing = [
+        graph.adjacency
+        for graph in all_graphs()
+        if is_cluster(final, graph, params.xi, tol=1e-6).passed
+    ]
+    assert len(passing) == 1
+    assert (passing[0] == builtin_graph(kind).adjacency).all()
+
+
 def test_is_cluster_rejects_vacuum_at_positive_squeezing():
     vac = GaussianState.vacuum(4)
     report = is_cluster(vac, builtin_graph("square"), 0.3, tol=10.0)
