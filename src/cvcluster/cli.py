@@ -52,6 +52,12 @@ _DEFAULT_TOL = {"lyapunov": 1e-6, "ode": 0.05}
 #: host.  Here, not in ``fock``, so that validation imports no scipy.
 ORACLE_CUTOFF_MAX = 50
 
+#: Longest oracle stage time, in units of 1/kappa.  The oracle's run time
+#: grows linearly with it, one leakage-guard interval per 0.25: at the cap
+#: and the default cutoff, beta and r, ``run --protocol linear --oracle``
+#: takes 2.8 s on a 2-core x86-64 host.
+ORACLE_STAGE_TIME_MAX = 64.0
+
 
 def _require_finite(field: str, value: float) -> None:
     if not math.isfinite(value):
@@ -106,6 +112,11 @@ class RunConfig:
         if self.oracle_cutoff > ORACLE_CUTOFF_MAX:
             raise InvalidParameterError(
                 f"field 'oracle_cutoff': must be at most {ORACLE_CUTOFF_MAX}, got {self.oracle_cutoff}"
+            )
+        if self.oracle and self.stage_time > ORACLE_STAGE_TIME_MAX:
+            raise InvalidParameterError(
+                f"field 'stage_time': must be at most {ORACLE_STAGE_TIME_MAX:g} with the oracle, "
+                f"got {self.stage_time}"
             )
         return replace(self, tol=tol)
 
@@ -382,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=sorted(_METHODS), default=None)
     run.add_argument("--tol", type=float, default=None, help="verdict tolerance per nullifier")
     run.add_argument(
-        "--oracle", action="store_true", default=None, help="add the number-basis cross-check"
+        "--oracle",
+        action="store_true",
+        default=None,
+        help=f"add the number-basis cross-check (stage time at most {ORACLE_STAGE_TIME_MAX:g})",
     )
     run.add_argument(
         "--oracle-cutoff",

@@ -220,6 +220,35 @@ def test_oracle_cutoff_above_the_cap_is_config_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("stage_time", [cvcluster.cli.ORACLE_STAGE_TIME_MAX + 1, 1e300])
+def test_oracle_stage_time_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, stage_time, route):
+    """The oracle takes one leakage-guard interval per 0.25 of stage time: a
+    stage time above the cap exits 2 before the oracle runs, where 1e300
+    once looped over about 4e300 intervals."""
+    def never(config):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", never)
+    out = tmp_path / "x.json"
+    if route == "flag":
+        argv = ["--protocol", "linear", "--oracle", "--stage-time", repr(stage_time)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"protocol": "linear", "oracle": True, "stage_time": stage_time}))
+        argv = ["--config", str(config)]
+    assert run_cli("run", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"field 'stage_time': must be at most {cvcluster.cli.ORACLE_STAGE_TIME_MAX:g}" in err
+    assert not out.exists()
+
+
+def test_stage_time_cap_holds_for_the_oracle_only():
+    cap = cvcluster.cli.ORACLE_STAGE_TIME_MAX
+    assert RunConfig("linear", stage_time=cap, oracle=True).validate().stage_time == cap
+    assert RunConfig("linear", stage_time=1e6).validate().stage_time == 1e6
+
+
 def test_long_strongly_squeezed_stage_stays_physical(tmp_path):
     # strong squeezing over a long stage: once the propagator lost digits
     # here and missed the uncertainty bound by 3e-9 (exit 3); squaring the

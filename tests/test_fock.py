@@ -298,8 +298,9 @@ def test_density_matrix_stays_hermitian():
 )
 def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     """Entries coupling different parities of n_a + n_d stay exactly zero,
-    so the sector alone, stepped with expm_multiply, gives the dense
-    propagator's result on the whole simplex basis to float64 roundoff."""
+    so the sector alone, stepped with the oracle's truncated Taylor series,
+    gives the dense propagator's result on the whole simplex basis to
+    float64 roundoff."""
     config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
     dims = (cutoff + 1, cutoff + 1)
     states = simplex_states(cutoff)
@@ -318,6 +319,34 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     assert abs(result.leakage - leakage) <= 1e-12
     steps = math.ceil(t_final / 0.25)
     assert (result.steps, result.dt) == (steps, t_final / steps)
+
+
+@pytest.mark.parametrize(
+    "beta,r,t_final,cutoff",
+    [(1.84, 0.40, 4.0, 20), (2.5, 0.5, 4.0, 20), (1.0, 0.3, 1.234, 12)],
+)
+def test_taylor_stepping_matches_expm_multiply(beta, r, t_final, cutoff):
+    """The oracle's one Taylor schedule per run gives, entry by entry, the
+    vector that scipy's expm_multiply gives when applied once per interval
+    of the same generator, with its own norm search and trace shift."""
+    from scipy.sparse.linalg import expm_multiply
+
+    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    basis, _ = _simplex(cutoff)
+    generator, upper = _liouvillian(config, basis)
+    result = integrate_two_mode(config)
+    generator = result.dt * generator
+    vec = np.zeros(upper.size)
+    vec[0] = 1.0
+    for _ in range(result.steps):
+        vec = expm_multiply(generator, vec)
+    # the oracle's vector is rho' = G^dag rho G on the upper triangle
+    rows, cols = np.divmod(upper, basis.size)
+    n_d = basis % (cutoff + 1)
+    phase = np.array([1, 1j, -1, -1j])[(n_d[rows] - n_d[cols]) % 4]
+    computed = result.rho[basis[rows], basis[cols]] * phase.conj()
+    assert np.all(computed.imag == 0)
+    assert np.abs(computed.real - vec).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Import cost: the default path needs numpy alone; scipy loads for the oracle."""
+"""Import cost: the default path needs numpy alone; scipy.sparse loads for the oracle."""
 
 import json
 import os
@@ -46,6 +46,8 @@ def test_default_path_loads_no_scipy(tmp_path):
     assert record["steps"] == {"import cvcluster": [], "import cvcluster.cli": [], "run": []}
     assert record["codes"] == [0, 0]
     assert "scipy.sparse" in record["oracle_loads"]
+    # the oracle steps its own Taylor series: no expm_multiply, no dense linalg
+    assert not [m for m in record["oracle_loads"] if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))]
     assert json.loads((tmp_path / "oracle.json").read_text())["oracle"]["trace_error"] < 1e-8
 
 
