@@ -52,11 +52,14 @@ _DEFAULT_TOL = {"lyapunov": 1e-6, "ode": 0.05}
 #: host.  Here, not in ``fock``, so that validation imports no scipy.
 ORACLE_CUTOFF_MAX = 50
 
-#: Longest oracle stage time, in units of 1/kappa.  The oracle's run time
-#: grows linearly with it, one leakage-guard interval per 0.25: at the cap
-#: and the default cutoff, beta and r, ``run --protocol linear --oracle``
-#: takes 2.8 s on a 2-core x86-64 host.
+#: Longest oracle stage time (in units of 1/kappa) and largest oracle beta.
+#: The oracle's run time grows linearly with each: one leakage-guard interval
+#: per 0.25 of stage time, and Taylor sub-steps per interval in proportion to
+#: beta.  At the stage-time cap and the default cutoff, beta and r, ``run
+#: --protocol linear --oracle`` takes 2.8 s on a 2-core x86-64 host, and
+#: 10-13 s at beta 10 (beta 1e6 did not end).
 ORACLE_STAGE_TIME_MAX = 64.0
+ORACLE_BETA_MAX = 10.0
 
 
 def _require_finite(field: str, value: float) -> None:
@@ -113,11 +116,11 @@ class RunConfig:
             raise InvalidParameterError(
                 f"field 'oracle_cutoff': must be at most {ORACLE_CUTOFF_MAX}, got {self.oracle_cutoff}"
             )
-        if self.oracle and self.stage_time > ORACLE_STAGE_TIME_MAX:
-            raise InvalidParameterError(
-                f"field 'stage_time': must be at most {ORACLE_STAGE_TIME_MAX:g} with the oracle, "
-                f"got {self.stage_time}"
-            )
+        for field, cap in (("beta", ORACLE_BETA_MAX), ("stage_time", ORACLE_STAGE_TIME_MAX)):
+            if self.oracle and getattr(self, field) > cap:
+                raise InvalidParameterError(
+                    f"field {field!r}: must be at most {cap:g} with the oracle, got {getattr(self, field)}"
+                )
         return replace(self, tol=tol)
 
 
@@ -152,7 +155,7 @@ def _write(doc: dict, out: str | None) -> None:
 
 def _run_once(config: RunConfig) -> tuple[dict, bool]:
     """Execute one protocol run; returns (result payload, verdict)."""
-    params = PhysicalParams.from_ratios(config.beta, config.r, kappa=1.0)
+    params = PhysicalParams(config.beta, config.r)
     protocol = builtin_protocol(config.protocol, params, stage_time=config.stage_time)
     run = run_protocol(protocol, params, method=_METHODS[config.method])
     report = is_cluster(run.final_state, protocol.graph, params.xi, config.tol)
@@ -202,12 +205,11 @@ def _oracle_section(config: RunConfig) -> dict:
         FockConfig(
             beta=config.beta,
             r=config.r,
-            kappa=1.0,
             t_final=config.stage_time,
             cutoff=config.oracle_cutoff,
         )
     )
-    dd = two_mode_drift_diffusion(config.beta, config.r, kappa=1.0)
+    dd = two_mode_drift_diffusion(config.beta, config.r)
     gaussian = evolve(GaussianState.vacuum(2), dd, config.stage_time)
     gap = float(np.abs(fock.covariance - gaussian.cov).max())
     return {
@@ -396,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         default=None,
-        help=f"add the number-basis cross-check (stage time at most {ORACLE_STAGE_TIME_MAX:g})",
+        help="add the number-basis cross-check "
+        f"(beta at most {ORACLE_BETA_MAX:g}, stage time at most {ORACLE_STAGE_TIME_MAX:g})",
     )
     run.add_argument(
         "--oracle-cutoff",

@@ -3,7 +3,7 @@
 Integrates the two-mode master equation
 
     drho/dt = -i [beta (a^dag d + r a^dag d^dag) + h.c., rho]
-              + 2 kappa (a rho a^dag - 1/2 {a^dag a, rho})
+              + 2 (a rho a^dag - 1/2 {a^dag a, rho})
 
 in a truncated Fock basis by applying the exact propagator of the
 generator, to float64 roundoff, and extracts quadrature moments from the
@@ -35,13 +35,13 @@ vacuum lies in the sector, so every entry outside it stays exactly zero,
 and the sector alone is the same computation with the zeros left out.
 
 The sector is integrated in real arithmetic, on one triangle.  This rests
-on real couplings: beta, r and kappa are real numbers, and the vacuum
+on real couplings: beta and r are real numbers, and the vacuum
 start is real.  In the gauge rho' = G^dag rho G with G = diag(i^{n_d}),
 d -> i d and a -> a, so -i [h, rho] -> beta [K, rho'] with
 
     K = a^dag d - r a^dag d^dag - d^dag a + r a d,
 
-which is real and antisymmetric, and the dissipator 2 kappa (a rho' a^T -
+which is real and antisymmetric, and the dissipator 2 (a rho' a^T -
 1/2 {a^dag a, rho'}) is real as well.  The gauged generator is real and
 commutes with transposition, so rho' stays real and symmetric, and its
 upper triangle carries the whole state.  The full complex rho = G rho' G^dag
@@ -86,12 +86,11 @@ class FockConfig:
 
     beta: float
     r: float
-    kappa: float
     t_final: float
     cutoff: int = 20
 
     def __post_init__(self):
-        for name in ("beta", "kappa", "t_final"):
+        for name in ("beta", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, np.integer)):
@@ -100,8 +99,8 @@ class FockConfig:
             raise InvalidParameterError("cutoff must be at least 4")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
-        if self.beta < 0 or self.kappa < 0:
-            raise InvalidParameterError("beta and kappa must be nonnegative")
+        if self.beta < 0:
+            raise InvalidParameterError("beta must be nonnegative")
         if self.t_final < 0:
             raise InvalidParameterError("t_final must be nonnegative")
 
@@ -180,14 +179,14 @@ def _simplex(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """Real generator on the upper triangle of the gauged rho, and that triangle.
 
-    The gauge rests on real couplings: beta, r and kappa are real, and the
+    The gauge rests on real couplings: beta and r are real, and the
     vacuum start is real.  With G = diag(i^{n_d}) and rho' = G^dag rho G,
     G^dag d G = i d and G^dag a G = a, so -i [h, rho] becomes beta [K, rho']
     with
 
         K = a^dag d - r a^dag d^dag - d^dag a + r a d,
 
-    real and antisymmetric, while the dissipator 2 kappa (a rho' a^T -
+    real and antisymmetric, while the dissipator 2 (a rho' a^T -
     1/2 {a^dag a, rho'}) stays real.  The generator of rho' is therefore real
     and maps symmetric matrices to symmetric ones, so rho' stays real and
     symmetric from the vacuum on, and only its upper triangle is integrated.
@@ -212,14 +211,13 @@ def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, 
     k = restrict(k - k.T)
     number_a = restrict(a.T @ a)
     a = restrict(a)
-    gamma = 2.0 * config.kappa
     n = basis.size
     eye = sp.identity(n, format="csr")
     # vec(A rho B) = (A kron B^T) vec(rho) in row-major vectorisation, K^T = -K
     lindblad = (
         config.beta * (sp.kron(k, eye) + sp.kron(eye, k))
-        + gamma * sp.kron(a, a)
-        - 0.5 * gamma * (sp.kron(number_a, eye) + sp.kron(eye, number_a))
+        + 2.0 * sp.kron(a, a)
+        - (sp.kron(number_a, eye) + sp.kron(eye, number_a))
     )
     n_a, n_d = np.divmod(basis, dim)
     parity = (n_a + n_d) % 2

@@ -1,4 +1,4 @@
-"""Physical model: the operating point (beta, r, kappa) to effective quadratic dynamics.
+"""Physical model: the operating point (beta, r) to effective quadratic dynamics.
 
 Four atomic ensembles sit in a single-mode ring cavity.  Each ensemble j is
 driven by two laser fields with Rabi amplitudes Omega_u_j, Omega_s_j and
@@ -13,12 +13,12 @@ i.e. tunable beam-splitter and squeezing couplings between the cavity mode
 Delta / (sqrt(N) g), so the prefactor is 1/2 and the coupling scale
 beta = sqrt(N) g Omega / Delta is the amplitude scale Omega itself: the
 stage builders take beta as Omega.  Every protocol quantity then depends
-only on beta/kappa and r; SI units enter only through the two estimators.
+only on beta and r; SI units enter only through the two estimators.
 
-Cavity decay convention: ``kappa`` is the field (amplitude) decay rate, half
-the photon-number decay rate.  The matching Lindblad dissipator is therefore
-2 kappa * D[a], and the cavity + single-combined-mode dynamics has drift
-eigenvalues -kappa/2 +- sqrt((kappa/2)^2 - beta^2 (1 - r^2)), each twice.
+Units: kappa, the cavity field (amplitude) decay rate and half the
+photon-number decay rate, is the unit of rates, and 1/kappa that of times.
+The Lindblad dissipator is then 2 D[a], and the cavity + single-combined-mode
+dynamics has drift eigenvalues -1/2 +- sqrt(1/4 - beta^2 (1 - r^2)), each twice.
 """
 
 from __future__ import annotations
@@ -48,28 +48,29 @@ class PhysicalParams:
     """Operating point of the cavity-ensemble system.
 
     beta : collective coupling scale sqrt(N) g Omega / Delta (rate); r :
-    squeezing-drive to beam-splitter-drive ratio, in [0, 1); kappa : cavity
-    field decay (rate).  r = 0 switches the squeezing drives off (useful
-    for diagnostics; the protocols then prepare vacuum).
+    squeezing-drive to beam-splitter-drive ratio, in [0, 1).  r = 0
+    switches the squeezing drives off (useful for diagnostics; the
+    protocols then prepare vacuum).
     """
 
     beta: float
     r: float
-    kappa: float
 
     def __post_init__(self):
-        for name in ("beta", "r", "kappa"):
+        for name in ("beta", "r"):
             _require_finite(name, getattr(self, name))
-        for name in ("beta", "kappa"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.beta <= 0:
+            raise InvalidParameterError(f"beta must be positive, got {self.beta}")
         if not 0.0 <= self.r < 1.0:
             raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
 
     @classmethod
     def from_ratios(cls, beta: float, r: float, kappa: float = 1.0) -> "PhysicalParams":
-        """The constructor, kappa 1 by default; the benchmark's sweep reference calls it."""
-        return cls(beta, r, kappa)
+        """The constructor; ``kappa``, the unit of rates, must be 1.  Kept for
+        ``bench/workloads.py`` until the benchmark change of ROADMAP item 2."""
+        if kappa != 1.0:
+            raise InvalidParameterError(f"kappa is the unit of rates and must be 1, got {kappa}")
+        return cls(beta, r)
 
     @property
     def xi(self) -> float:
@@ -138,24 +139,22 @@ def build_effective_hamiltonian(stage: PulseStage) -> QuadraticHamiltonian:
     return _cavity_hamiltonian(*stage.couplings())
 
 
-def reduced_drift_diffusion(bs_coupling, sq_coupling, kappa: float) -> DriftDiffusion:
+def reduced_drift_diffusion(bs_coupling, sq_coupling) -> DriftDiffusion:
     """Moment generator of the damped cavity + combined modes d_j.
 
     H = sum_j (bs_j a^dag d_j + sq_j a^dag d_j^dag) + h.c., with cavity loss
-    2 kappa D[a]: Lindblad rate 2 kappa on the cavity (mode 0), 0 on every
-    d_j.  Scalars give one mode d, 4-vectors all four (a stage in the
-    combined-mode frame).  ``drift_diffusion`` rejects a negative kappa and
-    ``DriftDiffusion`` a NaN or infinite one.
+    2 D[a]: Lindblad rate 2 on the cavity (mode 0), 0 on every d_j.  Scalars
+    give one mode d, 4-vectors all four (a stage in the combined-mode frame).
     """
     bs = np.atleast_1d(bs_coupling).astype(complex)
     sq = np.atleast_1d(sq_coupling).astype(complex)
-    rates = np.concatenate(([2.0 * kappa], np.zeros(bs.size)))
+    rates = np.concatenate(([2.0], np.zeros(bs.size)))
     return drift_diffusion(_cavity_hamiltonian(bs, sq), rates)
 
 
-def two_mode_drift_diffusion(beta: float, r: float, kappa: float) -> DriftDiffusion:
+def two_mode_drift_diffusion(beta: float, r: float) -> DriftDiffusion:
     """Moment generator of the damped cavity + combined mode model."""
-    return reduced_drift_diffusion(beta, r * beta, kappa)
+    return reduced_drift_diffusion(beta, r * beta)
 
 
 @dataclass(frozen=True)
@@ -172,30 +171,26 @@ class ConvergenceInfo:
         return self.regime != "underdamped"
 
 
-def convergence_eigenvalues(beta: float, r: float, kappa: float) -> ConvergenceInfo:
-    """Drift eigenvalues lambda_+- = -kappa/2 +- sqrt((kappa/2)^2 - beta^2 (1-r^2)).
+def convergence_eigenvalues(beta: float, r: float) -> ConvergenceInfo:
+    """Drift eigenvalues lambda_+- = -1/2 +- sqrt(1/4 - beta^2 (1-r^2)).
 
-    The regime is "underdamped" when beta sqrt(1-r^2) > kappa/2 (complex
+    The regime is "underdamped" when beta sqrt(1-r^2) > 1/2 (complex
     pair), "critical" at equality, "slow" below it, and "no-preparation"
     when the slow eigenvalue is 0.  Raises InvalidParameterError when beta
-    or kappa is so large that its square is not finite.
+    is so large that its square is not finite.
     """
-    beta, kappa = float(beta), float(kappa)
-    for name, value in (("beta", beta), ("kappa", kappa)):
-        _require_finite(name, value)
-        if not math.isfinite(value * value):
-            raise InvalidParameterError(f"{name} = {value} is too large: its square is not finite")
-    if kappa <= 0:
-        raise InvalidParameterError(f"kappa must be positive, got {kappa}")
+    beta = float(beta)
+    _require_finite("beta", beta)
+    if not math.isfinite(beta * beta):
+        raise InvalidParameterError(f"beta = {beta} is too large: its square is not finite")
     if not 0.0 <= r < 1.0:
         raise InvalidParameterError(f"r must lie in [0, 1), got {r}")
     if beta < 0:
         raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
-    half = kappa / 2.0
-    disc = half**2 - beta**2 * (1.0 - r**2)
+    disc = 0.25 - beta**2 * (1.0 - r**2)
     root = cmath.sqrt(disc)
-    lam_p = -half + root
-    lam_m = -half - root
+    lam_p = -0.5 + root
+    lam_m = -0.5 - root
     if disc < 0:
         return ConvergenceInfo(lam_p, lam_m, "underdamped")
     if disc == 0:

@@ -206,8 +206,9 @@ class Protocol:
 
     Exactly four stages, each addressing a distinct combined mode of the
     transform with |sq| < |bs| on it: a stage with |sq| >= |bs| amplifies
-    for any kappa, so both methods run every Protocol.  The checks need no
-    operating point: a stage's couplings depend on the stage alone.
+    whatever the cavity loss, so both methods run every Protocol.  The
+    checks need no operating point: a stage's couplings depend on the stage
+    alone.
     """
 
     transform: ModeTransform
@@ -240,10 +241,10 @@ def builtin_protocol(
     """Four-stage schedule for the linear, square or T-shape cluster state.
 
     ``stage_time``, every stage's duration, must be positive and finite; it
-    defaults to 4 / kappa, past the relaxation time of an underdamped stage.
+    defaults to 4, past the relaxation time of an underdamped stage.
     """
     transform = builtin_transform(kind)
-    duration = stage_time if stage_time is not None else 4.0 / params.kappa
+    duration = stage_time if stage_time is not None else 4.0
     factors = STAGE_PHASE_FACTORS[kind]
     stages = tuple(
         stage_from_mode_vector(factors[j] * transform.matrix[j], params.beta, params.r, duration)
@@ -290,7 +291,9 @@ def _rotated_back(state: GaussianState, s: np.ndarray) -> GaussianState:
 def run_protocol(
     protocol: Protocol, params: PhysicalParams, method: str = "lyapunov_sequential"
 ) -> ProtocolRun:
-    """Run all four stages starting from the global vacuum.
+    """Run all four stages starting from the global vacuum.  ``params`` is not
+    read: it stays for ``bench/workloads.py``, which passes it, until the
+    benchmark change of ROADMAP item 2 lets a later change delete it.
 
     The stages run in the combined-mode frame sigma_d = S sigma S^T, S =
     ``transform.symplectic`` (orthogonal, cavity fixed), under the generator
@@ -310,7 +313,7 @@ def run_protocol(
     lyapunov pair not Hurwitz (|sq| within round-off of |bs|), and
     UnphysicalStateError when a stage leaves an unphysical state; collects
     slow-regime warnings for every stage that is not underdamped
-    (beta_eff sqrt(1 - r_eff^2) <= kappa/2).
+    (beta_eff sqrt(1 - r_eff^2) <= 1/2, see ``convergence_eigenvalues``).
     """
     if method not in ("lyapunov_sequential", "time_domain"):
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -318,22 +321,21 @@ def run_protocol(
     nullifiers = np.array([nullifier_coefficients(protocol.graph, a) for a in range(4)])
     weights = s[2:, 2:] @ nullifiers.T
     state = GaussianState.vacuum(5)
-    kappa = params.kappa
     traces: list[StageTrace] = []
     warnings: list[str] = []
     for k, stage in enumerate(protocol.stages):
         report = transformed_coupling(stage, protocol.transform)
         target = report.target  # never None: the couplings depend on the stage alone
         bs, sq = complex(report.beam_splitter[target]), complex(report.squeezing[target])
-        slow = convergence_eigenvalues(abs(bs), abs(sq) / abs(bs), kappa).slow
+        slow = convergence_eigenvalues(abs(bs), abs(sq) / abs(bs)).slow
         if slow:
             warnings.append(
                 f"stage {k + 1}: slow regime, effective coupling gap "
-                f"{math.sqrt(abs(bs) ** 2 - abs(sq) ** 2):.4g} <= kappa/2 = {kappa / 2:.4g}"
+                f"{math.sqrt(abs(bs) ** 2 - abs(sq) ** 2):.4g} <= kappa/2 = 0.5"
             )
         if method == "lyapunov_sequential":
             try:
-                sigma_pair = steady_state(reduced_drift_diffusion(bs, sq, kappa))
+                sigma_pair = steady_state(reduced_drift_diffusion(bs, sq))
             except NonHurwitzError as exc:
                 raise NonHurwitzError(
                     f"stage {k + 1} has no steady state", exc.eigenvalue
@@ -345,7 +347,7 @@ def run_protocol(
             cov_d[np.ix_(pair, pair)] = sigma_pair
             state = GaussianState(cov_d)
         else:
-            dd = reduced_drift_diffusion(report.beam_splitter, report.squeezing, kappa)
+            dd = reduced_drift_diffusion(report.beam_splitter, report.squeezing)
             state = evolve(state, dd, stage.duration)
         ensembles = state.cov[2:, 2:]
         traces.append(

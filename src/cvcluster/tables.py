@@ -170,7 +170,7 @@ def reference_stage(kind: str, index: int, omega: float = 1.0, r: float = 0.5) -
         omega_s=omega_s,
         phi_u=np.array(row["phi_u"]),
         phi_s=np.array(row["phi_s"]),
-        duration=4.0,  # the built-in 4 / kappa at kappa = 1; no comparison reads it
+        duration=4.0,  # the built-in default stage time; no comparison reads it
     )
 
 
@@ -178,7 +178,7 @@ def generated_stage(kind: str, index: int, omega: float = 1.0, r: float = 0.5) -
     """Stage ``index`` (1..4) of the built-in protocol at (omega, r)."""
     if not 1 <= index <= 4:
         raise InvalidParameterError(f"stage index must lie in 1..4, got {index}")
-    params = PhysicalParams.from_ratios(omega, r)
+    params = PhysicalParams(omega, r)
     return builtin_protocol(kind, params).stages[index - 1]
 
 
@@ -255,7 +255,7 @@ def check_tables(omega: float = 1.0, r: float = 0.5) -> TableCheckReport:
 
     Any r in (0, 1) exposes the missing-r entries; the default is 0.5.
     """
-    params = PhysicalParams.from_ratios(omega, r)
+    params = PhysicalParams(omega, r)
     entries = []
     for kind in PROTOCOL_KINDS:
         stages = builtin_protocol(kind, params).stages

@@ -54,7 +54,7 @@ def report(criterion, ok, detail):
 
 
 def exact_run(kind):
-    params = PhysicalParams.from_ratios(BETA, R_VALUE)
+    params = PhysicalParams(BETA, R_VALUE)
     return run_protocol(builtin_protocol(kind, params), params)
 
 
@@ -86,7 +86,7 @@ def test_criterion_3_tshape_cluster_reproduction():
 
 
 def test_criterion_4_finite_time_convergence():
-    params = PhysicalParams.from_ratios(BETA, R_VALUE)
+    params = PhysicalParams(BETA, R_VALUE)
     details = []
     ok = True
     for kind in KINDS:
@@ -119,12 +119,12 @@ def test_criterion_6_eigenvalue_law_and_slow_regime_flag():
     flags_agree = True
     for beta in (0.3, 0.6, 1.0, 2.5, 4.0):
         for r in (0.0, 0.2, 0.5, 0.8, 0.95):
-            eigvals = np.linalg.eigvals(two_mode_drift_diffusion(beta, r, kappa).A)
+            eigvals = np.linalg.eigvals(two_mode_drift_diffusion(beta, r).A)
             disc = (kappa / 2) ** 2 - beta**2 * (1 - r**2)
             for lam in (-kappa / 2 + np.sqrt(complex(disc)), -kappa / 2 - np.sqrt(complex(disc))):
                 gaps = np.sort(np.abs(eigvals - lam))
                 worst = max(worst, gaps[1])  # each analytic root must appear twice
-            info = convergence_eigenvalues(beta, r, kappa)
+            info = convergence_eigenvalues(beta, r)
             expected_slow = beta * math.sqrt(1 - r**2) <= kappa / 2
             flags_agree = flags_agree and (info.slow or info.regime == "critical") == expected_slow
     report(
@@ -136,12 +136,12 @@ def test_criterion_6_eigenvalue_law_and_slow_regime_flag():
 
 def test_criterion_7_fock_oracle_equivalence():
     start = time.perf_counter()
-    beta, r, kappa, t_final = 1.0, 0.3, 1.0, 6.0
+    beta, r, t_final = 1.0, 0.3, 6.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=20)
+        FockConfig(beta=beta, r=r, t_final=t_final, cutoff=20)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t_final
     )
     elapsed = time.perf_counter() - start
     gap = np.abs(result.covariance - gaussian.cov).max()
@@ -193,7 +193,7 @@ def test_criterion_9_physical_estimators():
 
 def test_criterion_10_property_suites():
     rng = np.random.default_rng(123)
-    params = PhysicalParams.from_ratios(BETA, R_VALUE)
+    params = PhysicalParams(BETA, R_VALUE)
 
     # unitarity of the three built-in transforms to 1e-12
     unitarity = max(

@@ -249,6 +249,38 @@ def test_stage_time_cap_holds_for_the_oracle_only():
     assert RunConfig("linear", stage_time=1e6).validate().stage_time == 1e6
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("beta", [cvcluster.cli.ORACLE_BETA_MAX + 1, 1e6])
+def test_oracle_beta_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, beta, route):
+    """The oracle's Taylor sub-step count grows linearly with beta: a beta
+    above the cap exits 2 before the oracle runs, where 1e6 at one interval
+    did not end in 10 s."""
+    def never(config):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", never)
+    out = tmp_path / "x.json"
+    if route == "flag":
+        argv = ["--protocol", "linear", "--oracle", "--beta", repr(beta), "--r", "0.1", "--stage-time", "0.25"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"protocol": "linear", "oracle": True, "beta": beta}))
+        argv = ["--config", str(config)]
+    assert run_cli("run", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"field 'beta': must be at most {cvcluster.cli.ORACLE_BETA_MAX:g} with the oracle" in err
+    assert not out.exists()
+
+
+def test_beta_cap_holds_for_the_oracle_only(tmp_path):
+    cap = cvcluster.cli.ORACLE_BETA_MAX
+    assert RunConfig("linear", beta=cap, oracle=True).validate().beta == cap
+    out = tmp_path / "x.json"
+    code = run_cli("run", "--protocol", "linear", "--beta", "1e6", "--r", "0.1", "--stage-time", "0.25",
+                   "--out", str(out))
+    assert code == 0 and load(out)["oracle"] is None
+
+
 def test_long_strongly_squeezed_stage_stays_physical(tmp_path):
     # strong squeezing over a long stage: once the propagator lost digits
     # here and missed the uncertainty bound by 3e-9 (exit 3); squaring the

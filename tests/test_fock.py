@@ -63,7 +63,7 @@ def reference_generator(config, states):
     h = (h + h.conj().T).tocsr()[index][:, index]
     number_a = (a.conj().T @ a).tocsr()[index][:, index]
     a = a[index][:, index]
-    gamma = 2.0 * config.kappa
+    gamma = 2.0
     eye = sp.identity(n, format="csr", dtype=complex)
     lindblad = (
         -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
@@ -180,9 +180,9 @@ def test_non_finite_density_matrix_rejected(value):
 
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
-        FockConfig(beta=1, r=0.5, kappa=1, t_final=1, cutoff=3)
+        FockConfig(beta=1, r=0.5, t_final=1, cutoff=3)
     with pytest.raises(InvalidParameterError):
-        FockConfig(beta=1, r=1.0, kappa=1, t_final=1)
+        FockConfig(beta=1, r=1.0, t_final=1)
 
 
 @pytest.mark.parametrize("value", [6.5, 6.0, True, "6", None])
@@ -192,8 +192,8 @@ def test_config_rejects_non_integer_cutoffs(mode, value):
     mode d alike: a value that is not an integer is rejected, and an integer N
     keeps n = 0..N of each mode in the basis."""
     with pytest.raises(InvalidParameterError, match="cutoff must be an integer"):
-        FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=value)
-    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=6)
+        FockConfig(beta=1.0, r=0.3, t_final=0.5, cutoff=value)
+    config = FockConfig(beta=1.0, r=0.3, t_final=0.5, cutoff=6)
     basis, _ = _simplex(config.cutoff)
     n_a, n_d = np.divmod(basis, config.cutoff + 1)
     photons = n_a if mode == "cutoff_a" else n_d
@@ -201,21 +201,21 @@ def test_config_rejects_non_integer_cutoffs(mode, value):
 
 
 def test_config_accepts_numpy_integer_cutoffs():
-    config = FockConfig(beta=1.0, r=0.3, kappa=1.0, t_final=0.5, cutoff=np.int64(8))
+    config = FockConfig(beta=1.0, r=0.3, t_final=0.5, cutoff=np.int64(8))
     assert integrate_two_mode(config).rho.shape == (81, 81)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["beta", "kappa", "t_final"])
+@pytest.mark.parametrize("field", ["beta", "t_final"])
 def test_config_rejects_non_finite_numbers(field, value):
-    fields = {"beta": 1.0, "r": 0.5, "kappa": 1.0, "t_final": 1.0, field: value}
+    fields = {"beta": 1.0, "r": 0.5, "t_final": 1.0, field: value}
     with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
         FockConfig(**fields)
 
 
 def test_no_squeezing_stays_vacuum():
     result = integrate_two_mode(
-        FockConfig(beta=1.0, r=0.0, kappa=1.0, t_final=6.0, cutoff=8)
+        FockConfig(beta=1.0, r=0.0, t_final=6.0, cutoff=8)
     )
     assert np.abs(result.covariance - 0.5 * np.eye(4)).max() < 1e-6
     assert result.trace_error < 1e-8
@@ -223,19 +223,19 @@ def test_no_squeezing_stays_vacuum():
 
 def test_zero_hamiltonian_stays_vacuum():
     result = integrate_two_mode(
-        FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=2.0, cutoff=4)
+        FockConfig(beta=0.0, r=0.0, t_final=2.0, cutoff=4)
     )
     assert np.abs(result.covariance - 0.5 * np.eye(4)).max() < 1e-12
 
 
 def test_matches_gaussian_solver():
     """Independent cross-check of the two solvers on the same dynamics."""
-    beta, r, kappa, t = 1.0, 0.3, 1.0, 6.0
+    beta, r, t = 1.0, 0.3, 6.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t, cutoff=12)
+        FockConfig(beta=beta, r=r, t_final=t, cutoff=12)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t
     )
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-3
     # and the combined mode approaches the squeezed vacuum
@@ -248,12 +248,12 @@ def test_matches_gaussian_solver():
 @pytest.mark.parametrize("t_final", [0.004, 0.07, 0.126])
 def test_stage_time_off_the_step_grid(t_final):
     """A stage shorter than one interval takes one step of its own length."""
-    beta, r, kappa = 1.0, 0.3, 1.0
+    beta, r = 1.0, 0.3
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=6)
+        FockConfig(beta=beta, r=r, t_final=t_final, cutoff=6)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t_final
     )
     assert (result.steps, result.dt) == (1, t_final)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-8
@@ -262,19 +262,19 @@ def test_stage_time_off_the_step_grid(t_final):
 @pytest.mark.parametrize("t_final", [2.0, 4.0, 6.0, 8.0, 12.0, 20.0])
 def test_grid_times_take_nominal_steps(t_final):
     """t_final / 0.25 is exact, so a grid stage time takes no extra step."""
-    config = FockConfig(beta=0.0, r=0.0, kappa=1.0, t_final=t_final, cutoff=4)
+    config = FockConfig(beta=0.0, r=0.0, t_final=t_final, cutoff=4)
     result = integrate_two_mode(config)
     assert (result.steps, result.dt) == (round(t_final * 4), 0.25)
 
 
 def test_stage_time_on_the_step_grid_keeps_nominal_steps():
     """The default stage time takes 16 exact steps of 0.25 and matches evolve."""
-    beta, r, kappa, t_final = 1.0, 0.3, 1.0, 4.0
+    beta, r, t_final = 1.0, 0.3, 4.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=12)
+        FockConfig(beta=beta, r=r, t_final=t_final, cutoff=12)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t_final
     )
     assert (result.steps, result.dt) == (16, 0.25)
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-5
@@ -282,7 +282,7 @@ def test_stage_time_on_the_step_grid_keeps_nominal_steps():
 
 def test_density_matrix_stays_hermitian():
     result = integrate_two_mode(
-        FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff=8)
+        FockConfig(beta=1.0, r=0.2, t_final=2.0, cutoff=8)
     )
     assert np.abs(result.rho - result.rho.conj().T).max() < 1e-10
 
@@ -301,7 +301,7 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     so the sector alone, stepped with the oracle's truncated Taylor series,
     gives the dense propagator's result on the whole simplex basis to
     float64 roundoff."""
-    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    config = FockConfig(beta=beta, r=r, t_final=t_final, cutoff=cutoff)
     dims = (cutoff + 1, cutoff + 1)
     states = simplex_states(cutoff)
     rho, leakage = reference_expm(config, states)
@@ -331,7 +331,7 @@ def test_taylor_stepping_matches_expm_multiply(beta, r, t_final, cutoff):
     of the same generator, with its own norm search and trace shift."""
     from scipy.sparse.linalg import expm_multiply
 
-    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    config = FockConfig(beta=beta, r=r, t_final=t_final, cutoff=cutoff)
     basis, _ = _simplex(cutoff)
     generator, upper = _liouvillian(config, basis)
     result = integrate_two_mode(config)
@@ -357,7 +357,7 @@ def test_reference_is_real_and_symmetric_in_the_gauge(beta, r, t_final, cutoff):
     """With G = diag(i^{n_d}), the complex reference's G^dag rho G is real
     and symmetric: the symmetry that lets the oracle integrate the real
     upper triangle of the gauged rho alone."""
-    config = FockConfig(beta=beta, r=r, kappa=1.0, t_final=t_final, cutoff=cutoff)
+    config = FockConfig(beta=beta, r=r, t_final=t_final, cutoff=cutoff)
     rho, _ = reference_expm(config, simplex_states(cutoff))
     n_d = np.arange((cutoff + 1) ** 2) % (cutoff + 1)
     gauge = np.array([1, 1j, -1, -1j])[n_d % 4]
@@ -369,7 +369,7 @@ def test_reference_is_real_and_symmetric_in_the_gauge(beta, r, t_final, cutoff):
 def test_generator_is_real_on_the_upper_triangle():
     """At cutoff 20 the generator acts on the 13,486 upper-triangle entries
     of the gauged parity sector (of 26,741 in the sector), in float64."""
-    config = FockConfig(beta=1.5, r=0.3, kappa=1.0, t_final=4.0)
+    config = FockConfig(beta=1.5, r=0.3, t_final=4.0)
     basis, _ = _simplex(20)
     generator, upper = _liouvillian(config, basis)
     assert generator.dtype == np.float64
@@ -392,7 +392,7 @@ def test_simplex_is_the_shell_up_to_the_cutoff(cutoff):
 def test_simplex_matches_square_basis():
     """Dropping the states outside the simplex moves the covariance by no
     more than a few times the boundary population."""
-    config = FockConfig(beta=1.0, r=0.2, kappa=1.0, t_final=2.0, cutoff=12)
+    config = FockConfig(beta=1.0, r=0.2, t_final=2.0, cutoff=12)
     dims = (13, 13)
     square = reference_rk4(config, square_states(12))
     result = integrate_two_mode(config)
@@ -401,25 +401,25 @@ def test_simplex_matches_square_basis():
 
 
 def test_short_stage_density_matrix_is_physical():
-    beta, r, kappa, t_final = 1.5, 0.3, 1.0, 0.5
+    beta, r, t_final = 1.5, 0.3, 0.5
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=8)
+        FockConfig(beta=beta, r=r, t_final=t_final, cutoff=8)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t_final
     )
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-6
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
 
 
 def test_strong_coupling_density_matrix_is_physical():
-    """beta near 3 over a 4/kappa stage: rho stays positive to roundoff."""
-    beta, r, kappa, t_final = 2.9302, 0.3343, 1.0, 4.0
+    """beta near 3 over the default stage time 4: rho stays positive to roundoff."""
+    beta, r, t_final = 2.9302, 0.3343, 4.0
     result = integrate_two_mode(
-        FockConfig(beta=beta, r=r, kappa=kappa, t_final=t_final, cutoff=16)
+        FockConfig(beta=beta, r=r, t_final=t_final, cutoff=16)
     )
     gaussian = evolve(
-        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r, kappa), t_final
+        GaussianState.vacuum(2), two_mode_drift_diffusion(beta, r), t_final
     )
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-12
     assert np.abs(result.covariance - gaussian.cov).max() < 1e-3
@@ -427,7 +427,7 @@ def test_strong_coupling_density_matrix_is_physical():
 
 def test_leakage_guard_reports_the_full_basis_leakage():
     """The guard reads the boundary population the whole simplex basis has."""
-    config = FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff=4)
+    config = FockConfig(beta=1.0, r=0.8, t_final=6.0, cutoff=4)
     with pytest.raises(CutoffTooSmallError) as reference:
         reference_expm(config, simplex_states(4))
     with pytest.raises(CutoffTooSmallError) as err:
@@ -438,6 +438,6 @@ def test_leakage_guard_reports_the_full_basis_leakage():
 def test_leakage_guard_aborts_on_small_cutoff():
     with pytest.raises(CutoffTooSmallError) as err:
         integrate_two_mode(
-            FockConfig(beta=1.0, r=0.8, kappa=1.0, t_final=6.0, cutoff=4)
+            FockConfig(beta=1.0, r=0.8, t_final=6.0, cutoff=4)
         )
     assert err.value.leakage > 1e-6

@@ -130,7 +130,7 @@ def test_two_mode_eigenvalue_law(beta, r):
     """Drift spectrum of the damped cavity + combined mode pair:
     lambda_+- = -kappa/2 +- sqrt((kappa/2)^2 - beta^2 (1 - r^2)), each twice."""
     kappa = 1.0
-    dd = two_mode_drift_diffusion(beta, r, kappa)
+    dd = two_mode_drift_diffusion(beta, r)
     eigvals = np.linalg.eigvals(dd.A)
     disc = (kappa / 2) ** 2 - beta**2 * (1 - r**2)
     for lam in (-kappa / 2 + np.sqrt(complex(disc)), -kappa / 2 - np.sqrt(complex(disc))):
@@ -156,13 +156,13 @@ def test_evolve_relaxation_to_vacuum():
 
 
 def test_evolve_matches_lyapunov_at_long_time():
-    dd = two_mode_drift_diffusion(2.5, 0.5, 1.0)
+    dd = two_mode_drift_diffusion(2.5, 0.5)
     out = evolve(GaussianState.vacuum(2), dd, 12.0)
     assert np.abs(out.cov - steady_state(dd)).max() < 1e-3
 
 
 def test_evolve_rejects_negative_time():
-    dd = two_mode_drift_diffusion(1.0, 0.2, 1.0)
+    dd = two_mode_drift_diffusion(1.0, 0.2)
     with pytest.raises(InvalidParameterError):
         evolve(GaussianState.vacuum(2), dd, -0.1)
 
@@ -208,7 +208,7 @@ def test_evolve_preserves_uncertainty_at_all_sampled_times():
 
 
 def test_evolve_converges_to_steady_state_at_analytic_rate():
-    dd = two_mode_drift_diffusion(2.5, 0.5, 1.0)
+    dd = two_mode_drift_diffusion(2.5, 0.5)
     target = steady_state(dd)
     max_re = np.linalg.eigvals(dd.A).real.max()
     times = np.array([4.0, 8.0, 12.0])
@@ -241,7 +241,7 @@ def test_evolve_matches_scipy_block_expm_on_random_stages():
     for i in range(60):
         r = rng.uniform(0.0, 0.8)
         beta = rng.uniform(0.3, 5.0) / math.sqrt(1.0 - r * r)
-        params = PhysicalParams.from_ratios(beta, r, kappa=1.0)
+        params = PhysicalParams(beta, r)
         protocol = builtin_protocol(PROTOCOL_KINDS[i % 3], params)
         for stage in protocol.stages:
             dd = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
@@ -265,7 +265,7 @@ def test_evolve_matches_scipy_block_expm_on_random_stages():
 def test_time_domain_runs_stay_physical(kind, r, gap, stage_time):
     """Long, strongly squeezed stages end in a physical state: squaring the
     pair (Phi, Q) adds only positive semidefinite terms."""
-    params = PhysicalParams.from_ratios(gap / math.sqrt(1.0 - r * r), r, kappa=1.0)
+    params = PhysicalParams(gap / math.sqrt(1.0 - r * r), r)
     protocol = builtin_protocol(kind, params, stage_time=stage_time)
     final = run_protocol(protocol, params, method="time_domain").final_state
     assert symplectic_eigenvalues(final.cov).min() - 0.5 >= -1e-10
@@ -279,7 +279,7 @@ def test_time_domain_far_past_relaxation_equals_lyapunov(kind, r):
     here (at r 0.5 from about 60/kappa on).  Squaring in a basis where the
     untouched modes are not coordinate axes doubles their round-off at every
     step, so the stages run in the combined-mode frame."""
-    params = PhysicalParams.from_ratios(2.5, r, kappa=1.0)
+    params = PhysicalParams(2.5, r)
     exact = run_protocol(builtin_protocol(kind, params), params, method="lyapunov_sequential")
     for stage_time in (200.0, 1e4, 1e5, 1e6):
         long = run_protocol(
@@ -291,7 +291,7 @@ def test_time_domain_far_past_relaxation_equals_lyapunov(kind, r):
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e308])
 def test_evolve_rejects_a_time_whose_scaled_generator_overflows(t):
-    dd = two_mode_drift_diffusion(1.0, 0.3, 1.0)
+    dd = two_mode_drift_diffusion(1.0, 0.3)
     with pytest.raises(InvalidParameterError, match="not finite"):
         evolve(GaussianState.vacuum(2), dd, t)
 
@@ -300,7 +300,7 @@ def test_evolve_reports_an_overflowing_propagator_as_a_simulation_error():
     """At t = 1e300 the ~1000 squarings amplify the round-off on the modes a
     stage leaves undamped past the float range: that is a failed simulation,
     not a bad argument, and it warns nothing on the way."""
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     stage = builtin_protocol("linear", params).stages[0]
     dd = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
     with pytest.raises(SimulationError, match="evolution time 1e\\+300") as info:
@@ -316,13 +316,13 @@ def test_steady_state_squeezed_vacuum_direction():
     carrying e^{-2 xi} / 2, the cavity in vacuum, no correlations."""
     r = 0.5
     xi = np.arctanh(r)
-    sigma = steady_state(two_mode_drift_diffusion(1.7, r, 1.0))
+    sigma = steady_state(two_mode_drift_diffusion(1.7, r))
     expected = np.diag([0.5, 0.5, np.exp(-2 * xi) / 2, np.exp(2 * xi) / 2])
     assert_allclose(sigma, expected, atol=1e-12)
 
 
 def test_steady_state_no_squeezing_is_vacuum():
-    sigma = steady_state(two_mode_drift_diffusion(1.0, 0.0, 1.0))
+    sigma = steady_state(two_mode_drift_diffusion(1.0, 0.0))
     assert_allclose(sigma, 0.5 * np.eye(4), atol=1e-12)
 
 
@@ -335,7 +335,7 @@ def test_steady_state_rejects_non_hurwitz():
 
 
 def test_steady_state_residual_is_tiny():
-    dd = two_mode_drift_diffusion(3.0, 0.8, 1.0)
+    dd = two_mode_drift_diffusion(3.0, 0.8)
     sigma = steady_state(dd)
     residual = np.linalg.norm(dd.A @ sigma + sigma @ dd.A.T + dd.D)
     assert residual <= 1e-10 * (
@@ -351,7 +351,7 @@ def test_steady_state_matches_scipy_lyapunov_solver():
         r = rng.uniform(0.0, 0.95)
         beta = rng.uniform(0.1, 12.0)
         phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=2))
-        dd = reduced_drift_diffusion(beta * phases[0], r * beta * phases[1], rng.uniform(0.2, 3.0))
+        dd = reduced_drift_diffusion(beta * phases[0], r * beta * phases[1])
         ref = solve_continuous_lyapunov(dd.A, -dd.D)
         assert np.abs(steady_state(dd) - ref).max() <= 1e-13 * np.abs(ref).max()
 

@@ -43,11 +43,11 @@ def random_stage(rng):
 # --------------------------------------------------------------- parameters
 
 
-PARAMS = {"beta": 2.5, "r": 0.5, "kappa": 1.0}
+PARAMS = {"beta": 2.5, "r": 0.5}
 
 
 def test_params_validation():
-    for field, value in (("beta", 0.0), ("beta", -1.0), ("kappa", 0.0), ("r", 1.0), ("r", -0.1)):
+    for field, value in (("beta", 0.0), ("beta", -1.0), ("r", 1.0), ("r", -0.1)):
         with pytest.raises(InvalidParameterError, match=f"{field} must"):
             PhysicalParams(**{**PARAMS, field: value})
     # r = 0 switches squeezing off but is a valid diagnostic point
@@ -65,19 +65,20 @@ def test_params_reject_non_finite_numbers(field, value):
 def test_from_ratios_rejects_non_finite_numbers(value):
     with pytest.raises(InvalidParameterError, match="beta must be finite"):
         PhysicalParams.from_ratios(value, 0.5)
-    with pytest.raises(InvalidParameterError, match="kappa must be finite"):
+    with pytest.raises(InvalidParameterError, match="kappa is the unit of rates"):
         PhysicalParams.from_ratios(2.5, 0.5, kappa=value)
 
 
 def test_from_ratios_reproduces_beta():
-    """The operating point is (beta, r, kappa).  Rabi amplitudes are in units
-    of Delta / (sqrt(N) g), so beta is also the amplitude scale Omega.  The
-    prefactor 1/2 that every amplitude carries belongs to the stage
-    Hamiltonian (see test_hamiltonian_linear_first_stage_entries)."""
-    assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["beta", "r", "kappa"]
+    """The operating point is (beta, r); rates are in units of kappa.  Rabi
+    amplitudes are in units of Delta / (sqrt(N) g), so beta is also the
+    amplitude scale Omega.  The prefactor 1/2 that every amplitude carries
+    belongs to the stage Hamiltonian (see
+    test_hamiltonian_linear_first_stage_entries)."""
+    assert [f.name for f in dataclasses.fields(PhysicalParams)] == ["beta", "r"]
     params = PhysicalParams.from_ratios(2.5, 0.5)
-    assert params == PhysicalParams(2.5, 0.5, 1.0)
-    assert (params.beta, params.r, params.kappa) == (2.5, 0.5, 1.0)
+    assert params == PhysicalParams(2.5, 0.5)
+    assert (params.beta, params.r) == (2.5, 0.5)
     assert abs(params.xi - math.atanh(0.5)) < 1e-15
 
 
@@ -115,7 +116,7 @@ def test_hamiltonian_all_zero_stage():
 
 
 def test_hamiltonian_linear_first_stage_entries():
-    params = PhysicalParams(beta=1.7, r=0.3, kappa=1.0)
+    params = PhysicalParams(beta=1.7, r=0.3)
     beta = params.beta
     r = params.r
     st = generated_stage("linear", 1, omega=params.beta, r=r)
@@ -151,33 +152,22 @@ def test_hamiltonian_linear_in_amplitudes():
 
 
 def test_cavity_damping_vector():
-    """Cavity loss 2 kappa D[a] on mode 0 only: D = diag(kappa, kappa, 0, 0)."""
-    dd = reduced_drift_diffusion(1.0, 0.5, 1.5)
-    assert_allclose(dd.D, np.diag([1.5, 1.5, 0, 0]), atol=0)
-    with pytest.raises(InvalidParameterError, match="damping rates must be nonnegative"):
-        reduced_drift_diffusion(1.0, 0.5, -1.0)
-
-
-@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
-def test_cavity_damping_rejects_non_finite_kappa(kappa):
-    """Checked downstream: a negative rate by drift_diffusion, a NaN or
-    infinite one by DriftDiffusion."""
-    message = "damping rates must be nonnegative" if kappa < 0 else "drift matrix A must be finite"
-    with pytest.raises(InvalidParameterError, match=message):
-        reduced_drift_diffusion(1.0, 0.5, kappa)
+    """Cavity loss 2 D[a] on mode 0 only: D = diag(1, 1, 0, 0)."""
+    dd = reduced_drift_diffusion(1.0, 0.5)
+    assert_allclose(dd.D, np.diag([1.0, 1.0, 0, 0]), atol=0)
 
 
 @pytest.mark.parametrize(
     "args,name",
     [
-        ((math.nan, 0.5, 1.0), "F must be finite"),
-        ((1.0, math.nan, 1.0), "G must be finite"),
-        ((1.0, 0.5, math.nan), "A must be finite"),
-        ((1.0, 0.5, math.inf), "A must be finite"),
+        ((math.nan, 0.5), "F must be finite"),
+        ((1.0, math.nan), "G must be finite"),
+        ((math.inf, 0.5), "F must be finite"),
+        ((1.0, math.inf), "G must be finite"),
     ],
 )
 def test_two_mode_generator_rejects_non_finite_inputs(args, name):
-    """A NaN coupling or rate is rejected by the generator's own checks
+    """A NaN or infinite coupling is rejected by the generator's own checks
     instead of reaching steady_state or the PSD check as numpy's LinAlgError."""
     with pytest.raises(InvalidParameterError, match=name):
         two_mode_drift_diffusion(*args)
@@ -235,7 +225,7 @@ def test_estimators_reject_non_finite_numbers(estimator, field, position, value)
 
 
 def test_convergence_eigenvalues_underdamped():
-    info = convergence_eigenvalues(1.0, 0.0, 1.0)
+    info = convergence_eigenvalues(1.0, 0.0)
     assert abs(info.lambda_plus - (-0.5 + 1j * math.sqrt(3) / 2)) < 1e-14
     assert abs(info.lambda_minus - (-0.5 - 1j * math.sqrt(3) / 2)) < 1e-14
     assert info.regime == "underdamped"
@@ -243,7 +233,7 @@ def test_convergence_eigenvalues_underdamped():
 
 
 def test_convergence_eigenvalues_no_coupling():
-    info = convergence_eigenvalues(0.0, 0.0, 1.0)
+    info = convergence_eigenvalues(0.0, 0.0)
     assert abs(info.lambda_plus) < 1e-15
     assert abs(info.lambda_minus + 1.0) < 1e-15
     assert info.regime == "no-preparation"
@@ -251,7 +241,7 @@ def test_convergence_eigenvalues_no_coupling():
 
 
 def test_convergence_eigenvalues_critical():
-    info = convergence_eigenvalues(0.5, 0.0, 1.0)  # beta sqrt(1 - r^2) = kappa / 2
+    info = convergence_eigenvalues(0.5, 0.0)  # beta sqrt(1 - r^2) = 1/2
     assert abs(info.lambda_plus + 0.5) < 1e-14
     assert abs(info.lambda_minus + 0.5) < 1e-14
     assert info.regime == "critical"
@@ -259,7 +249,7 @@ def test_convergence_eigenvalues_critical():
 
 
 def test_convergence_eigenvalues_slow():
-    info = convergence_eigenvalues(0.3, 0.0, 1.0)
+    info = convergence_eigenvalues(0.3, 0.0)
     assert abs(info.lambda_plus + 0.1) < 1e-14  # -1/2 + sqrt(1/4 - 0.09)
     assert abs(info.lambda_minus + 0.9) < 1e-14
     assert info.regime == "slow"
@@ -268,21 +258,19 @@ def test_convergence_eigenvalues_slow():
 
 def test_convergence_eigenvalues_validation():
     with pytest.raises(InvalidParameterError):
-        convergence_eigenvalues(1.0, 1.0, 1.0)
+        convergence_eigenvalues(1.0, 1.0)
     with pytest.raises(InvalidParameterError):
-        convergence_eigenvalues(-1.0, 0.5, 1.0)
-    with pytest.raises(InvalidParameterError):
-        convergence_eigenvalues(1.0, 0.5, 0.0)
+        convergence_eigenvalues(-1.0, 0.5)
 
 
 @pytest.mark.parametrize(
     "field, args",
     [
-        ("kappa", (1.0, 0.5, math.nan)),
-        ("kappa", (1.0, 0.5, math.inf)),
-        ("beta", (math.nan, 0.5, 1.0)),
-        ("beta", (math.inf, 0.5, 1.0)),
-        ("r", (1.0, math.nan, 1.0)),
+        ("r", (1.0, math.inf)),
+        ("r", (1.0, -math.inf)),
+        ("beta", (math.nan, 0.5)),
+        ("beta", (math.inf, 0.5)),
+        ("r", (1.0, math.nan)),
     ],
 )
 def test_convergence_eigenvalues_reject_non_finite_numbers(field, args):
@@ -295,22 +283,21 @@ def test_convergence_eigenvalues_reject_non_finite_numbers(field, args):
 @pytest.mark.parametrize(
     "field, args",
     [
-        ("beta", (1e155, 0.5, 1.0)),
-        ("beta", (1e200, 0.5, 1.0)),
-        ("kappa", (1.0, 0.5, 1e200)),
+        ("beta", (1e155, 0.5)),
+        ("beta", (1e200, 0.5)),
     ],
-    ids=["beta-1e155", "beta-1e200", "kappa-1e200"],
+    ids=["beta-1e155", "beta-1e200"],
 )
 def test_convergence_eigenvalues_reject_a_value_whose_square_overflows(to_float, field, args):
     """Python floats raised OverflowError from beta**2 and numpy floats gave
     inf with a RuntimeWarning; both now name the field, with no warning."""
-    beta, r, kappa = (to_float(x) for x in args)
+    beta, r = (to_float(x) for x in args)
     with pytest.raises(InvalidParameterError, match=f"^{field} = .* is too large"):
-        convergence_eigenvalues(beta, r, kappa)
+        convergence_eigenvalues(beta, r)
 
 
 @pytest.mark.parametrize("to_float", [float, np.float64], ids=["python", "numpy"])
 def test_convergence_eigenvalues_accept_the_largest_beta_whose_square_is_finite(to_float):
-    info = convergence_eigenvalues(to_float(1e154), to_float(0.5), to_float(1.0))
+    info = convergence_eigenvalues(to_float(1e154), to_float(0.5))
     assert info.regime == "underdamped"
     assert type(info.lambda_plus) is complex

@@ -128,7 +128,7 @@ def test_mode_transform_rejects_non_finite_entries(value):
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
 def test_generated_stages_couple_to_single_mode(kind, index):
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     st = generated_stage(kind, index, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform(kind))
     assert report.target == index - 1
@@ -150,7 +150,7 @@ def test_all_zero_stage_has_no_target():
 def test_reference_square_stage_one_is_inconsistent():
     """The literal first square table (squeezing channel missing the factor r
     on ensembles 3, 4) leaks squeezing onto a second combined mode."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+    params = PhysicalParams(1.0, 0.5)
     st = reference_stage("square", 1, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform("square"))
     beta = params.beta
@@ -164,7 +164,7 @@ def test_reference_square_stage_one_is_inconsistent():
 
 
 def test_protocol_requires_four_distinct_targets():
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+    params = PhysicalParams(1.0, 0.5)
     transform = builtin_transform("linear")
     stages = [generated_stage("linear", i, params.beta, params.r) for i in (1, 1, 3, 4)]
     with pytest.raises(InvalidParameterError):
@@ -176,7 +176,7 @@ def test_protocol_requires_four_distinct_targets():
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 def test_exact_solver_reaches_analytic_variances(kind):
     r = 0.5
-    params = PhysicalParams.from_ratios(2.5, r)
+    params = PhysicalParams(2.5, r)
     run = run_protocol(builtin_protocol(kind, params), params)
     variances = nullifier_variances(run.final_state, builtin_graph(kind))
     assert np.abs(variances - exact_targets(kind, r)).max() < 1e-8
@@ -185,7 +185,7 @@ def test_exact_solver_reaches_analytic_variances(kind):
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 def test_final_four_mode_state_is_pure(kind):
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     run = run_protocol(builtin_protocol(kind, params), params)
     ensemble = run.final_state.cov[2:, 2:]
     assert abs(purity(ensemble) - 1.0) < 1e-8
@@ -193,7 +193,7 @@ def test_final_four_mode_state_is_pure(kind):
 
 
 def test_cavity_factorises_after_every_stage():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     run = run_protocol(builtin_protocol("linear", params), params)
     for trace in run.stages:
         assert trace.cavity_cross_norm < 1e-10
@@ -201,17 +201,17 @@ def test_cavity_factorises_after_every_stage():
 
 
 def test_vanishing_squeezing_leaves_vacuum():
-    params = PhysicalParams.from_ratios(2.5, 1e-12)
+    params = PhysicalParams(2.5, 1e-12)
     run = run_protocol(builtin_protocol("square", params), params)
     assert np.abs(run.final_state.cov - 0.5 * np.eye(10)).max() < 1e-8
-    run0 = run_protocol(builtin_protocol("tshape", PhysicalParams.from_ratios(2.5, 0.0)),
-                        PhysicalParams.from_ratios(2.5, 0.0))
+    run0 = run_protocol(builtin_protocol("tshape", PhysicalParams(2.5, 0.0)),
+                        PhysicalParams(2.5, 0.0))
     assert np.abs(run0.final_state.cov - 0.5 * np.eye(10)).max() < 1e-12
 
 
 def test_time_domain_converges_to_exact_values():
     r = 0.5
-    params = PhysicalParams.from_ratios(2.5, r)
+    params = PhysicalParams(2.5, r)
     target = exact_targets("linear", r)
     errors = []
     for stage_time in (4.0, 8.0, 12.0):
@@ -224,7 +224,7 @@ def test_time_domain_converges_to_exact_values():
 
 
 def test_stage_order_does_not_matter():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     base = builtin_protocol("linear", params)
     reference = run_protocol(base, params).final_state.cov
     order = (2, 0, 3, 1)
@@ -234,7 +234,7 @@ def test_stage_order_does_not_matter():
 
 
 def test_per_stage_trace_is_recorded():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     run = run_protocol(builtin_protocol("square", params), params)
     assert len(run.stages) == 4
     assert [t.target_mode for t in run.stages] == [0, 1, 2, 3]
@@ -249,7 +249,7 @@ def test_per_stage_trace_is_recorded():
 def test_stage_purity_reads_the_ensemble_block(kind, method):
     """A stage's purity, read from the combined-mode frame, is that of the
     ensemble state: S leaves it unchanged, up to round-off."""
-    params = PhysicalParams.from_ratios(1.7, 0.6)
+    params = PhysicalParams(1.7, 0.6)
     run = run_protocol(builtin_protocol(kind, params), params, method=method)
     assert abs(run.stages[-1].ensemble_purity - purity(run.final_state.cov[2:, 2:])) <= 1e-12
 
@@ -258,7 +258,7 @@ def test_stage_purity_reads_the_ensemble_block(kind, method):
 @pytest.mark.parametrize("beta,r", [(1.7, 0.6), (3.0, 0.9), (1.0, 0.95)])
 def test_lyapunov_final_stage_purity_is_one(kind, beta, r):
     """Four exact squeezed vacua leave the ensembles in a pure state."""
-    params = PhysicalParams.from_ratios(beta, r)
+    params = PhysicalParams(beta, r)
     run = run_protocol(builtin_protocol(kind, params), params)
     assert abs(run.stages[-1].ensemble_purity - 1.0) <= 1e-14
 
@@ -268,12 +268,12 @@ def test_lyapunov_final_stage_purity_is_one(kind, beta, r):
 def test_frame_generator_is_the_rotated_stage_generator(kind, beta, r):
     """The generator built from a coupling report's vectors is S A S^T of
     the ensemble-basis stage generator, with the same D: nothing dropped."""
-    params = PhysicalParams.from_ratios(beta, r)
+    params = PhysicalParams(beta, r)
     protocol = builtin_protocol(kind, params)
     s = protocol.transform.symplectic
     for stage in protocol.stages:
         report = transformed_coupling(stage, protocol.transform)
-        frame = reduced_drift_diffusion(report.beam_splitter, report.squeezing, params.kappa)
+        frame = reduced_drift_diffusion(report.beam_splitter, report.squeezing)
         ensemble = drift_diffusion(build_effective_hamiltonian(stage), np.array([2.0, 0, 0, 0, 0]))
         assert np.abs(frame.A - s @ ensemble.A @ s.T).max() <= 1e-15
         assert (frame.D == ensemble.D).all()
@@ -284,7 +284,7 @@ def test_frame_generator_is_the_rotated_stage_generator(kind, beta, r):
 def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
     """Reference: evolve the five-mode state in the ensemble basis, stage by
     stage, under each stage's own Hamiltonian."""
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     protocol = builtin_protocol(kind, params, stage_time=stage_time)
     state = GaussianState.vacuum(5)
     for stage in protocol.stages:
@@ -295,7 +295,7 @@ def test_time_domain_matches_the_ensemble_basis_evolution(kind, stage_time):
 
 
 def test_slow_regime_warning_collected():
-    params = PhysicalParams.from_ratios(0.4, 0.5)  # beta sqrt(1-r^2) = 0.346 < 1/2
+    params = PhysicalParams(0.4, 0.5)  # beta sqrt(1-r^2) = 0.346 < 1/2
     run = run_protocol(builtin_protocol("linear", params), params)
     assert len(run.warnings) == 4
     assert all("slow regime" in w for w in run.warnings)
@@ -328,9 +328,9 @@ def squeeze_only_stages(protocol):
     ids=["swap-1-squeeze-2", "swap-1-squeeze-1", "swap-0-squeeze-1", "squeeze-only"],
 )
 def test_protocol_rejects_a_stage_that_amplifies(swap, squeeze, sq, bs):
-    """|sq| >= |bs| has no steady state for any kappa: such a stage cannot
+    """|sq| >= |bs| has no steady state whatever the cavity loss: such a stage cannot
     be built into a Protocol, so no method is ever handed one."""
-    protocol = builtin_protocol("linear", PhysicalParams.from_ratios(1.0, 0.5))
+    protocol = builtin_protocol("linear", PhysicalParams(1.0, 0.5))
     if swap is None:
         stages = squeeze_only_stages(protocol)
     else:
@@ -345,7 +345,7 @@ def test_protocol_rejects_a_stage_that_amplifies(swap, squeeze, sq, bs):
 def test_a_stage_just_below_the_line_runs_under_both_methods():
     """|sq| = 0.99 |bs| still relaxes: both methods run it, every stage slow,
     and the lyapunov run reaches the r = 0.99 targets."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+    params = PhysicalParams(1.0, 0.5)
     protocol = builtin_protocol("linear", params)
     below = dataclasses.replace(protocol, stages=rescaled_stages(protocol, 1.0, 0.99))
     for method in ("lyapunov_sequential", "time_domain"):
@@ -371,14 +371,14 @@ def test_stage_relaxation_and_run_agree_on_the_slow_regime(kind, beta, r):
     beta 0.5, r 0 the stages sit on the critical line, where round-off
     decides (tshape stage 3 has |bs| = 0.5000000000000001 and is
     underdamped), so the bare law beta sqrt(1 - r^2) <= 1/2 is not the test."""
-    params = PhysicalParams.from_ratios(beta, r)
+    params = PhysicalParams(beta, r)
     for trace in run_protocol(builtin_protocol(kind, params), params).stages:
         bs, sq = abs(trace.beam_splitter), abs(trace.squeezing)
-        assert trace.slow_regime == convergence_eigenvalues(bs, sq / bs, 1.0).slow
+        assert trace.slow_regime == convergence_eigenvalues(bs, sq / bs).slow
 
 
 def test_unknown_method_rejected():
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+    params = PhysicalParams(1.0, 0.5)
     protocol = builtin_protocol("linear", params)
     with pytest.raises(InvalidParameterError):
         run_protocol(protocol, params, method="eulerian")
@@ -397,7 +397,7 @@ def test_a_run_validates_five_states_all_in_the_frame(method, monkeypatch):
         checked.append(self)
 
     monkeypatch.setattr(GaussianState, "__post_init__", counting)
-    params = PhysicalParams.from_ratios(1.0, 0.999999)
+    params = PhysicalParams(1.0, 0.999999)
     protocol = builtin_protocol("linear", params)
     run = run_protocol(protocol, params, method=method)
     assert len(checked) == 5 and checked[-1] is run.frame_state
@@ -414,7 +414,7 @@ def test_stage_time_override_must_be_positive_and_finite(method, stage_time):
     """A run's stage times are its stages' durations: builtin_protocol's
     stage_time override is checked where the Protocol is built, so neither
     method is handed a bad one."""
-    params = PhysicalParams.from_ratios(1.0, 0.5)
+    params = PhysicalParams(1.0, 0.5)
     with pytest.raises(InvalidParameterError, match="duration must be"):
         run_protocol(builtin_protocol("linear", params, stage_time=stage_time), params, method=method)
 
@@ -424,7 +424,7 @@ def test_tshape_phase_factors_flip_three_quadratures():
     the factors are the squeeze-direction pattern (-1, -1, -1, +1)."""
     factors = np.array(STAGE_PHASE_FACTORS["tshape"])
     assert_allclose(factors**2, [-1, -1, -1, 1], atol=1e-15)
-    params = PhysicalParams.from_ratios(2.0, 0.5)
+    params = PhysicalParams(2.0, 0.5)
     st = generated_stage("tshape", 1, omega=params.beta, r=params.r)
     report = transformed_coupling(st, builtin_transform("tshape"))
     # beam-splitter coupling picks up the factor i, squeezing its conjugate
@@ -438,7 +438,7 @@ def test_only_the_builtin_squeeze_pattern_prepares_the_cluster(kind):
     1 or i (one per squeeze-direction pattern factor^2 = +-1), exactly the
     built-in squares leave a state that passes is_cluster."""
     squares = {"linear": (1, 1, 1, 1), "square": (1, 1, 1, 1), "tshape": (-1, -1, -1, 1)}[kind]
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     transform = builtin_transform(kind)
     passing = []
     for factors in itertools.product((1.0, 1j), repeat=4):

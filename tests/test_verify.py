@@ -171,7 +171,7 @@ def test_analytic_targets_decrease_with_squeezing():
 
 
 def test_is_cluster_accepts_exact_protocol_output():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     protocol = builtin_protocol("linear", params)
     run = run_protocol(protocol, params)
     report = is_cluster(run.final_state, protocol.graph, params.xi, tol=1e-6)
@@ -183,7 +183,7 @@ def test_is_cluster_accepts_exact_protocol_output():
 def test_only_the_builtin_graph_passes_on_a_protocol_state(kind):
     """A wrong graph fails: of the 64 four-node graphs, exactly the one the
     protocol targets passes on its final state."""
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     final = run_protocol(builtin_protocol(kind, params), params).final_state
     passing = [
         graph.adjacency
@@ -201,7 +201,7 @@ def test_is_cluster_rejects_vacuum_at_positive_squeezing():
 
 
 def test_is_cluster_accepts_time_domain_output():
-    params = PhysicalParams.from_ratios(2.5, 0.5)
+    params = PhysicalParams(2.5, 0.5)
     protocol = builtin_protocol("tshape", params, stage_time=4.0)
     run = run_protocol(protocol, params, method="time_domain")
     report = is_cluster(run.final_state, protocol.graph, params.xi, tol=0.05)
