@@ -10,10 +10,11 @@ generator, to float64 roundoff, and extracts quadrature moments from the
 density matrix.  Its only approximation is the truncation.  The propagator
 is the truncated Taylor series of Al-Mohy and Higham (SIAM J. Sci. Comput.
 33 (2011) 488) at degree 55, with its sub-step count chosen once per run
-from the exact 1-norm of the generator.  Entirely independent of the
-Gaussian solver (no shared dynamics code), which makes it a cross-check:
-for moderate r and an adequate cutoff every covariance entry must match
-the Gaussian evolution.
+from the exact 1-norm of the generator, which fixes the run's work before
+its first step: more than WORK_BUDGET is an InvalidParameterError.
+Entirely independent of the Gaussian solver (no shared dynamics code),
+which makes it a cross-check: for moderate r and an adequate cutoff every
+covariance entry must match the Gaussian evolution.
 
 The basis is the excitation-number simplex: the number states with
 n_a + n_d <= N for the one cutoff N (231 of the 441 square-basis states
@@ -61,6 +62,11 @@ from .errors import CutoffTooSmallError, InvalidParameterError, UnphysicalStateE
 #: Largest population allowed on the boundary of the retained basis before
 #: a run aborts with CutoffTooSmallError.
 LEAKAGE_GUARD = 1e-6
+
+#: Largest work W = intervals x Taylor sub-steps x nnz(L) that a run may do,
+#: checked before its first step.  One unit took 16-30 ns on one pinned CPU
+#: of a 2-core x86-64 host: the budget is about a minute at most.
+WORK_BUDGET = 2e9
 
 #: Longest interval between leakage-guard checks; a power of two, so
 #: t_final / _INTERVAL is exact.
@@ -287,22 +293,35 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     s = max(1, ceil(||h L||_1 / theta_55)), theta_55 = 9.9, chosen once
     per run from the exact 1-norm of the sparse generator.  Each sub-step
     sums the series to float64 roundoff, so the result carries truncation
-    error only.  Aborts with CutoffTooSmallError when the boundary of the
-    simplex accumulates more population than LEAKAGE_GUARD.  ``rho`` is the full complex density matrix G rho' G^dag
-    on the (N + 1)^2 square-basis states, N = ``cutoff``, zero outside the
-    sector and the simplex.
+    error only.  Raises InvalidParameterError before the first step when
+    the work W = intervals x s x nnz(L) exceeds WORK_BUDGET, and aborts
+    with CutoffTooSmallError when the boundary of the simplex accumulates
+    more population than LEAKAGE_GUARD.  ``rho`` is the full complex
+    density matrix G rho' G^dag on the (N + 1)^2 square-basis states,
+    N = ``cutoff``, zero outside the sector and the simplex.
     """
     basis, boundary = _simplex(config.cutoff)
-    generator, upper = _liouvillian(config, basis)
+    with np.errstate(over="ignore"):  # beta from about 1e307 on: an infinite 1-norm
+        generator, upper = _liouvillian(config, basis)
+    intervals = config.t_final / _INTERVAL  # infinite from t_final 4.5e307 on
+    norm = float(abs(generator).sum(axis=0).max())
+    work = math.inf
+    if math.isfinite(intervals) and math.isfinite(norm):
+        n_steps = math.ceil(intervals)
+        dt = config.t_final / max(n_steps, 1)
+        substeps = max(1, math.ceil(norm * dt / _THETA))
+        work = float(n_steps) * substeps * generator.nnz
+    if not work <= WORK_BUDGET:
+        raise InvalidParameterError(
+            f"oracle work W = {work:.3g} (intervals x Taylor sub-steps x nnz(L)) at beta {config.beta:g}, "
+            f"t_final {config.t_final:g} and cutoff {config.cutoff} exceeds the budget {WORK_BUDGET:.3g}: "
+            f"about {work * 3e-8:.2g} s at 30 ns per unit"
+        )
+    generator.data *= dt / substeps
     n = basis.size
     on_boundary = np.searchsorted(upper, np.flatnonzero(boundary) * (n + 1))
     vec = np.zeros(upper.size)
     vec[0] = 1.0  # upper[0] = 0 is |0, 0><0, 0|
-    n_steps = math.ceil(config.t_final / _INTERVAL)
-    dt = config.t_final / max(n_steps, 1)
-    norm = float(abs(generator).sum(axis=0).max()) * dt
-    substeps = max(1, math.ceil(norm / _THETA))
-    generator.data *= dt / substeps
     leakage = 0.0
     for step in range(1, n_steps + 1):
         for _ in range(substeps):

@@ -59,6 +59,9 @@ CASES = {
     ],
     "run-linear-r-1.5": ["run", "--protocol", "linear", "--r", "1.5"],
     "run-linear-r-0.9999": ["run", "--protocol", "linear", "--beta", "1", "--r", "0.9999"],
+    "run-linear-oracle-over-budget": [
+        "run", "--protocol", "linear", "--oracle", "--beta", "1e6", "--stage-time", "0.25",
+    ],
 }
 
 

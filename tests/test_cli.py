@@ -220,65 +220,79 @@ def test_oracle_cutoff_above_the_cap_is_config_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("route", ["flag", "config"])
-@pytest.mark.parametrize("stage_time", [cvcluster.cli.ORACLE_STAGE_TIME_MAX + 1, 1e300])
-def test_oracle_stage_time_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, stage_time, route):
-    """The oracle takes one leakage-guard interval per 0.25 of stage time: a
-    stage time above the cap exits 2 before the oracle runs, where 1e300
-    once looped over about 4e300 intervals."""
-    def never(config):
-        raise AssertionError("the oracle ran")
-
-    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", never)
-    out = tmp_path / "x.json"
-    if route == "flag":
-        argv = ["--protocol", "linear", "--oracle", "--stage-time", repr(stage_time)]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"protocol": "linear", "oracle": True, "stage_time": stage_time}))
-        argv = ["--config", str(config)]
-    assert run_cli("run", *argv, "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert f"field 'stage_time': must be at most {cvcluster.cli.ORACLE_STAGE_TIME_MAX:g}" in err
-    assert not out.exists()
-
-
-def test_stage_time_cap_holds_for_the_oracle_only():
-    cap = cvcluster.cli.ORACLE_STAGE_TIME_MAX
-    assert RunConfig("linear", stage_time=cap, oracle=True).validate().stage_time == cap
-    assert RunConfig("linear", stage_time=1e6).validate().stage_time == 1e6
+def never_step(generator, vec):
+    raise AssertionError("a Taylor step ran")
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])
-@pytest.mark.parametrize("beta", [cvcluster.cli.ORACLE_BETA_MAX + 1, 1e6])
-def test_oracle_beta_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, beta, route):
-    """The oracle's Taylor sub-step count grows linearly with beta: a beta
-    above the cap exits 2 before the oracle runs, where 1e6 at one interval
-    did not end in 10 s."""
-    def never(config):
-        raise AssertionError("the oracle ran")
-
-    monkeypatch.setattr(cvcluster.fock, "integrate_two_mode", never)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"beta": 1e6, "stage_time": 0.25},
+        {"stage_time": 1e300},
+        {"stage_time": 1e308},
+        {"beta": 10.0, "oracle_cutoff": 40, "stage_time": 64.0},
+        {"method": "ode", "stage_time": 1e300},
+    ],
+    ids=["beta-1e6", "stage-time-1e300", "stage-time-1e308", "beta-10-cutoff-40-stage-time-64",
+         "ode-stage-time-1e300"],
+)
+def test_oracle_over_the_work_budget_is_config_error(tmp_path, capsys, monkeypatch, fields, route):
+    """The oracle refuses a run whose work W = intervals x Taylor sub-steps x
+    nnz(L) exceeds its budget before its first step, and before the Gaussian
+    stages, which exit 3 at stage time 1e300 under the time-domain method.
+    Beta 1e6 at one interval would take hours, and beta 10, cutoff 40,
+    stage time 64 about 8 minutes."""
+    monkeypatch.setattr(cvcluster.fock, "_taylor_step", never_step)
     out = tmp_path / "x.json"
     if route == "flag":
-        argv = ["--protocol", "linear", "--oracle", "--beta", repr(beta), "--r", "0.1", "--stage-time", "0.25"]
+        argv = ["--protocol", "linear", "--oracle"]
+        for field, value in fields.items():
+            argv += [f"--{field.replace('_', '-')}", str(value)]
     else:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"protocol": "linear", "oracle": True, "beta": beta}))
+        config.write_text(json.dumps({"protocol": "linear", "oracle": True, **fields}))
         argv = ["--config", str(config)]
     assert run_cli("run", *argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"field 'beta': must be at most {cvcluster.cli.ORACLE_BETA_MAX:g} with the oracle" in err
+    assert "exceeds the budget 2e+09" in err
     assert not out.exists()
 
 
-def test_beta_cap_holds_for_the_oracle_only(tmp_path):
-    cap = cvcluster.cli.ORACLE_BETA_MAX
-    assert RunConfig("linear", beta=cap, oracle=True).validate().beta == cap
+@pytest.mark.parametrize(
+    "flags",
+    [["--beta", "1e6", "--r", "0.1", "--stage-time", "0.25"], ["--stage-time", "1e6"]],
+    ids=["beta-1e6", "stage-time-1e6"],
+)
+def test_work_budget_holds_for_the_oracle_only(tmp_path, flags):
     out = tmp_path / "x.json"
-    code = run_cli("run", "--protocol", "linear", "--beta", "1e6", "--r", "0.1", "--stage-time", "0.25",
-                   "--out", str(out))
-    assert code == 0 and load(out)["oracle"] is None
+    assert run_cli("run", "--protocol", "linear", *flags, "--out", str(out)) == 0
+    assert load(out)["oracle"] is None
+
+
+def test_oracle_work_is_the_schedule_that_runs(tmp_path, monkeypatch):
+    """W is intervals x sub-steps x nnz(L) of the schedule the oracle steps:
+    a budget of exactly the counted Taylor steps times nnz(L) admits the run,
+    and one unit less refuses it."""
+    argv = ["run", "--protocol", "linear", "--beta", "2.5", "--r", "0.1", "--stage-time", "1",
+            "--method", "ode", "--tol", "0.2", "--oracle", "--oracle-cutoff", "8",
+            "--out", str(tmp_path / "x.json")]
+    nnz = []
+    taylor_step = cvcluster.fock._taylor_step
+
+    def counted(generator, vec):
+        nnz.append(generator.nnz)
+        return taylor_step(generator, vec)
+
+    monkeypatch.setattr(cvcluster.fock, "_taylor_step", counted)
+    assert run_cli(*argv) == 0
+    steps = load(tmp_path / "x.json")["oracle"]["steps"]
+    assert (steps, len(nnz), len(set(nnz))) == (4, 4 * 3, 1)  # 4 intervals of 3 sub-steps
+    work = len(nnz) * nnz[0]
+    monkeypatch.setattr(cvcluster.fock, "WORK_BUDGET", work)
+    assert run_cli(*argv) == 0
+    monkeypatch.setattr(cvcluster.fock, "WORK_BUDGET", work - 1)
+    assert run_cli(*argv) == 2
 
 
 def test_long_strongly_squeezed_stage_stays_physical(tmp_path):

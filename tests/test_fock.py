@@ -19,6 +19,7 @@ from cvcluster import (
     integrate_two_mode,
     two_mode_drift_diffusion,
 )
+from cvcluster import fock
 from cvcluster.fock import LEAKAGE_GUARD, _liouvillian, _simplex, destroy, quadrature_operators
 
 
@@ -211,6 +212,24 @@ def test_config_rejects_non_finite_numbers(field, value):
     fields = {"beta": 1.0, "r": 0.5, "t_final": 1.0, field: value}
     with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
         FockConfig(**fields)
+
+
+def never_step(generator, vec):
+    raise AssertionError("a Taylor step ran")
+
+
+@pytest.mark.parametrize(
+    "beta,t_final,cutoff",
+    [(1e30, 0.25, 6), (1e308, 0.25, 6), (1.0, 1e308, 4), (1.0, 1e300, 4), (1e6, 0.25, 20)],
+)
+def test_work_over_the_budget_is_refused_before_any_step(monkeypatch, beta, t_final, cutoff):
+    """beta 1e30 once ran about 1e29 Taylor sub-steps per interval without
+    end, and beta 1e308 (an infinite 1-norm) and t_final 1e308 (infinite
+    intervals) once raised a raw OverflowError."""
+    monkeypatch.setattr(fock, "_taylor_step", never_step)
+    with pytest.raises(InvalidParameterError, match="exceeds the budget 2e[+]09") as err:
+        integrate_two_mode(FockConfig(beta=beta, r=0.1, t_final=t_final, cutoff=cutoff))
+    assert f"beta {beta:g}, t_final {t_final:g} and cutoff {cutoff}" in str(err.value)
 
 
 def test_no_squeezing_stays_vacuum():
