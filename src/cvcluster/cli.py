@@ -48,9 +48,11 @@ _METHODS = {"lyapunov": "lyapunov_sequential", "ode": "time_domain"}
 _DEFAULT_TOL = {"lyapunov": 1e-6, "ode": 0.05}
 
 #: Largest oracle cutoff N, a memory cap (``fock.WORK_BUDGET`` caps time):
-#: the memory grows as N^4, and a one-interval run (``--stage-time 0.25``) at
-#: N 50 peaks at 595 MB RSS on a 2-core x86-64 host.  Here, not in ``fock``,
-#: so that validation imports no scipy.
+#: the memory grows as N^4.  On a 2-core x86-64 host a one-interval run
+#: (``--stage-time 0.25``) at N 50 peaks at 216 MB RSS, and the refusal of
+#: ``--beta 10 --oracle-cutoff 40 --stage-time 64``, which builds the N 40
+#: generator to count its work, at 107 MB in 0.7-0.9 s.  Here, not in
+#: ``fock``, so that validation imports no scipy.
 ORACLE_CUTOFF_MAX = 50
 
 

@@ -6,12 +6,13 @@ Integrates the two-mode master equation
               + 2 (a rho a^dag - 1/2 {a^dag a, rho})
 
 in a truncated Fock basis by applying the exact propagator of the
-generator, to float64 roundoff, and extracts quadrature moments from the
-density matrix.  Its only approximation is the truncation.  The propagator
-is the truncated Taylor series of Al-Mohy and Higham (SIAM J. Sci. Comput.
-33 (2011) 488) at degree 55, with its sub-step count chosen once per run
-from the exact 1-norm of the generator, which fixes the run's work before
-its first step: more than WORK_BUDGET is an InvalidParameterError.
+generator, to float64 roundoff, checks the final density matrix, and
+extracts quadrature moments from it.  Its only approximation is the
+truncation.  The propagator is the truncated Taylor series of Al-Mohy
+and Higham (SIAM J. Sci. Comput. 33 (2011) 488) at degree 55, with its
+sub-step count chosen once per run from the exact 1-norm of the
+generator, which fixes the run's work before its first step: more than
+WORK_BUDGET is an InvalidParameterError.
 Entirely independent of the Gaussian solver (no shared dynamics code),
 which makes it a cross-check: for moderate r and an adequate cutoff every
 covariance entry must match the Gaussian evolution.
@@ -45,8 +46,12 @@ d -> i d and a -> a, so -i [h, rho] -> beta [K, rho'] with
 which is real and antisymmetric, and the dissipator 2 (a rho' a^T -
 1/2 {a^dag a, rho'}) is real as well.  The gauged generator is real and
 commutes with transposition, so rho' stays real and symmetric, and its
-upper triangle carries the whole state.  The full complex rho = G rho' G^dag
-is rebuilt once, after the last step.
+upper triangle carries the whole state.
+
+Only the quadrature products of the moments use the square basis.  The
+generator's rows are built on the triangle directly, and after the last
+step rho' is rebuilt on the n retained states alone, checked, and turned
+into the complex rho = G rho' G^dag on them.
 """
 
 from __future__ import annotations
@@ -151,9 +156,23 @@ def covariance_from_density(rho: np.ndarray, dims) -> np.ndarray:
     live = np.flatnonzero(np.abs(herm).any(axis=1))
     if np.linalg.eigvalsh(herm[np.ix_(live, live)]).min() < -1e-9:
         raise UnphysicalStateError("rho has a significantly negative eigenvalue")
+    return _moments(rho, dims)
+
+
+def _moments(rho: np.ndarray, dims, basis: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrised quadrature covariance of a checked density matrix.
+
+    ``rho`` is given on the tensor-basis states ``basis`` (ascending
+    indices, all of them when None) and is zero on the others.  Each
+    product x_j x_i is formed on the whole tensor basis and only then
+    restricted to ``basis``: restricting the quadratures first would drop
+    the terms of x_j x_i that pass through states outside ``basis``.
+    """
 
     def expectation(x) -> float:
         # tr(x rho) = sum over the nonzeros x[l, k] of x[l, k] rho[k, l]
+        if basis is not None:
+            x = x[basis][:, basis]
         x = x.tocoo()
         return float((x.data * rho[x.col, x.row]).sum().real)
 
@@ -197,52 +216,76 @@ def _liouvillian(config: FockConfig, basis: np.ndarray) -> tuple[sp.csr_matrix, 
     and maps symmetric matrices to symmetric ones, so rho' stays real and
     symmetric from the vacuum on, and only its upper triangle is integrated.
 
-    rho' lives on the retained states ``basis`` (see ``_simplex``): ``K``,
-    ``a`` and ``a^dag a`` are built on the square basis and restricted to
-    them, which drops the transitions out of the simplex.  The generator
-    acts on the parity sector of row-major vec(rho'), the entries whose
-    ket and bra have the same parity of n_a + n_d, and on its upper half:
-    ``upper`` holds the ascending flat indices i * n + j, i <= j, of those
-    entries of the n x n restricted rho'.  Each row is the whole-basis
-    generator's row with the columns of (i, j) and (j, i) summed into one.
+    rho' lives on the retained states ``basis`` (see ``_simplex``), and
+    ``K`` and ``a`` are taken on them, without the transitions out of the
+    simplex.  The generator acts on the parity sector of rho', the entries
+    (i, j) whose ket and bra have the same parity of n_a + n_d, and on its
+    upper half i <= j: ``upper`` holds their ascending flat indices
+    i * n + j in the n x n rho'.  Row (i, j) is built on the sector
+    directly: it collects beta K[i, m] from (m, j), beta K[j, m] from
+    (i, m) (the term rho' K^T), 2 a[i, p] a[j, q] from (p, q), and
+    -(n_a(i) + n_a(j)) from (i, j), each in the column of the entry's upper
+    position (min, max).
     """
-    dim = config.cutoff + 1
+    cutoff, r = config.cutoff, config.r
+    n_a, n_d = np.divmod(basis, cutoff + 1)
+    root = np.sqrt(np.arange(cutoff + 2))
 
-    def restrict(op):
-        return op.tocsr()[basis][:, basis]
+    def move(da: int, dd: int) -> np.ndarray:
+        """Index of the state (n_a + da, n_d + dd) from each state, -1 off the simplex."""
+        x, y = n_a + da, n_d + dd
+        inside = (x >= 0) & (y >= 0) & (x + y <= cutoff)
+        # rows x' < x of the simplex hold N + 1 - x' states each
+        return np.where(inside, x * (cutoff + 1) - x * (x - 1) // 2 + y, -1)
 
-    a = sp.kron(destroy(dim), sp.identity(dim), format="csr")
-    d = sp.kron(sp.identity(dim), destroy(dim), format="csr")
-    k = a.T @ d - config.r * (a.T @ d.T)
-    k = restrict(k - k.T)
-    number_a = restrict(a.T @ a)
-    a = restrict(a)
-    n = basis.size
-    eye = sp.identity(n, format="csr")
-    # vec(A rho B) = (A kron B^T) vec(rho) in row-major vectorisation, K^T = -K
-    lindblad = (
-        config.beta * (sp.kron(k, eye) + sp.kron(eye, k))
-        + 2.0 * sp.kron(a, a)
-        - (sp.kron(number_a, eye) + sp.kron(eye, number_a))
+    # K[i, m] = amplitude[i] at m = target[i], one pair per term of K
+    k_terms = (
+        (move(-1, 1), root[n_a] * root[n_d + 1]),
+        (move(-1, -1), -(r * (root[n_a] * root[n_d]))),
+        (move(1, -1), -(root[n_a + 1] * root[n_d])),
+        (move(1, 1), r * (root[n_a + 1] * root[n_d + 1])),
     )
-    n_a, n_d = np.divmod(basis, dim)
+    a_target, a_amplitude = move(1, 0), root[n_a + 1]  # a[i, p], p = (n_a + 1, n_d)
+
+    n = basis.size
     parity = (n_a + n_d) % 2
     rows, cols = np.nonzero(np.triu(parity[:, None] == parity[None, :]))
     upper = rows * n + cols
-    strict = np.flatnonzero(rows < cols)
-    mirror = cols[strict] * n + rows[strict]
-    # vec(rho') = fold @ upper half: entry k fills (i, j) and, off the diagonal, (j, i)
-    fold = sp.csr_matrix(
-        (np.ones(upper.size + strict.size),
-         (np.r_[upper, mirror], np.r_[np.arange(upper.size), strict])),
-        shape=(n * n, upper.size),
-    )
-    return (lindblad.tocsr()[upper] @ fold).tocsr(), upper
+    # (i, j), i <= j, sits rank[j] - rank[i] entries into row i of the
+    # triangle, where rank counts the states of the same parity before one
+    start = np.searchsorted(rows, np.arange(n))
+    odd = np.cumsum(parity)
+    rank = np.where(parity == 1, odd - 1, np.arange(n) - odd)
+    shape = (upper.size, upper.size)
+
+    def entries(at, ket, bra, values) -> sp.csr_matrix:
+        """``values`` in the rows ``at``, each in the column of (ket, bra) folded to (min, max)."""
+        lo, hi = np.minimum(ket, bra), np.maximum(ket, bra)
+        return sp.csr_matrix((values, (at, start[lo] + rank[hi] - rank[lo])), shape=shape)
+
+    generator = entries(np.arange(upper.size), rows, cols, -(n_a[rows] + n_a[cols]).astype(float))
+    # each further term adds at most one entry to a row; the sums drop exact zeros
+    for target, amplitude in k_terms:
+        # (K rho')[i, j] = K[i, m] rho'[m, j] and (rho' K^T)[i, j] = rho'[i, m] K[j, m]
+        for here, there in ((rows, cols), (cols, rows)):
+            m = target[here]
+            keep = np.flatnonzero(m >= 0)
+            generator = generator + entries(keep, m[keep], there[keep], config.beta * amplitude[here[keep]])
+    p, q = a_target[rows], a_target[cols]
+    keep = np.flatnonzero((p >= 0) & (q >= 0))
+    jump = 2.0 * (a_amplitude[rows[keep]] * a_amplitude[cols[keep]])
+    generator = generator + entries(keep, p[keep], q[keep], jump)
+    return generator, upper
 
 
 @dataclass(frozen=True)
 class FockResult:
-    """Density matrix and its Gaussian-layer-compatible covariance.
+    """Density matrix on the retained states and its Gaussian-layer-compatible covariance.
+
+    ``rho`` is the complex density matrix on the excitation-number simplex,
+    in the order of ``basis``: the ascending square-basis indices
+    n_a * (N + 1) + n_d of the retained states, N = ``cutoff``.  Every
+    state outside them is empty.
 
     The quadrature means are exactly 0: each quadrature links entries of
     opposite parity, which the integrated sector never fills.
@@ -252,6 +295,7 @@ class FockResult:
     """
 
     rho: np.ndarray
+    basis: np.ndarray
     covariance: np.ndarray
     trace_error: float
     leakage: float
@@ -296,9 +340,12 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
     error only.  Raises InvalidParameterError before the first step when
     the work W = intervals x s x nnz(L) exceeds WORK_BUDGET, and aborts
     with CutoffTooSmallError when the boundary of the simplex accumulates
-    more population than LEAKAGE_GUARD.  ``rho`` is the full complex
-    density matrix G rho' G^dag on the (N + 1)^2 square-basis states,
-    N = ``cutoff``, zero outside the sector and the simplex.
+    more population than LEAKAGE_GUARD.  The final state must be finite,
+    of trace 1 to 1e-8 and without an eigenvalue below -1e-9, or
+    UnphysicalStateError is raised.  ``rho`` is the complex density matrix
+    G rho' G^dag on the retained states ``basis`` only (see FockResult),
+    zero outside the sector, and the covariance is read from it by the
+    rule of ``covariance_from_density``, without its checks.
     """
     basis, boundary = _simplex(config.cutoff)
     with np.errstate(over="ignore"):  # beta from about 1e307 on: an infinite 1-norm
@@ -312,10 +359,14 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
         substeps = max(1, math.ceil(norm * dt / _THETA))
         work = float(n_steps) * substeps * generator.nnz
     if not work <= WORK_BUDGET:
+        cost = (
+            f"about {work * 3e-8:.2g} s at 30 ns per unit" if math.isfinite(work)
+            else "the work is unbounded (not finite)"
+        )
         raise InvalidParameterError(
             f"oracle work W = {work:.3g} (intervals x Taylor sub-steps x nnz(L)) at beta {config.beta:g}, "
             f"t_final {config.t_final:g} and cutoff {config.cutoff} exceeds the budget {WORK_BUDGET:.3g}: "
-            f"about {work * 3e-8:.2g} s at 30 ns per unit"
+            f"{cost}"
         )
     generator.data *= dt / substeps
     n = basis.size
@@ -333,21 +384,32 @@ def integrate_two_mode(config: FockConfig) -> FockResult:
                 "increase cutoff",
                 leakage,
             )
+    if not np.isfinite(vec).all():
+        raise UnphysicalStateError("the oracle's density matrix is not finite")
     rows, cols = np.divmod(upper, n)
     gauged = np.zeros((n, n))
     gauged[rows, cols] = vec
     gauged[cols, rows] = vec
+    trace = gauged.trace()
+    if abs(trace - 1.0) > 1e-8:
+        raise UnphysicalStateError(f"trace(rho) = {float(trace)!r}, expected 1")
+    # rho' is symmetric by construction, so rho = G rho' G^dag is Hermitian,
+    # and G is a diagonal unitary, so rho has the spectrum of rho'.  The
+    # entries between parities are zero: each parity block is checked alone.
     dim = config.cutoff + 1
+    n_a, n_d = np.divmod(basis, dim)
+    parity = (n_a + n_d) % 2
+    for block in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        if np.linalg.eigvalsh(gauged[np.ix_(block, block)]).min() < -1e-9:
+            raise UnphysicalStateError("rho has a significantly negative eigenvalue")
     # rho = G rho' G^dag: entry (i, j) picks up i^{n_d(i) - n_d(j)}, exactly
-    n_d = basis % dim
     phase = np.array([1, 1j, -1, -1j])[(n_d[:, None] - n_d[None, :]) % 4]
-    rho = np.zeros((dim * dim,) * 2, dtype=complex)
-    rho[np.ix_(basis, basis)] = phase * gauged
-    trace_error = abs(np.trace(rho).real - 1.0)
+    rho = phase * gauged
     return FockResult(
         rho=rho,
-        covariance=covariance_from_density(rho, (dim, dim)),
-        trace_error=trace_error,
+        basis=basis,
+        covariance=_moments(rho, (dim, dim), basis),
+        trace_error=abs(trace - 1.0),
         leakage=leakage,
         steps=n_steps,
         dt=dt,

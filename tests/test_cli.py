@@ -259,6 +259,18 @@ def test_oracle_over_the_work_budget_is_config_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_unbounded_oracle_work_gives_no_time_estimate(tmp_path, capsys, monkeypatch):
+    """beta 1e308 makes the oracle's work infinite, where the refusal once
+    ended in "about inf s at 30 ns per unit"."""
+    monkeypatch.setattr(cvcluster.fock, "_taylor_step", never_step)
+    out = tmp_path / "x.json"
+    assert run_cli("run", "--protocol", "linear", "--oracle", "--beta", "1e308", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the budget 2e+09: the work is unbounded (not finite)" in err
+    assert "inf s" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--beta", "1e6", "--r", "0.1", "--stage-time", "0.25"], ["--stage-time", "1e6"]],

@@ -74,6 +74,45 @@ def reference_generator(config, states):
     return lindblad, index, boundary
 
 
+def kron_liouvillian(config, basis):
+    """Reference for ``_liouvillian``: the real gauged generator built with
+    kron products on the whole n^2 vector over the retained states, from
+    operators built on the square basis and then restricted to them, and
+    only then cut down to the upper triangle of the parity sector, with the
+    columns of (i, j) and (j, i) summed into one."""
+    dim = config.cutoff + 1
+
+    def restrict(op):
+        return op.tocsr()[basis][:, basis]
+
+    a = sp.kron(destroy(dim), sp.identity(dim), format="csr")
+    d = sp.kron(sp.identity(dim), destroy(dim), format="csr")
+    k = a.T @ d - config.r * (a.T @ d.T)
+    k = restrict(k - k.T)
+    number_a = restrict(a.T @ a)
+    a = restrict(a)
+    n = basis.size
+    eye = sp.identity(n, format="csr")
+    # vec(A rho B) = (A kron B^T) vec(rho) in row-major vectorisation, K^T = -K
+    lindblad = (
+        config.beta * (sp.kron(k, eye) + sp.kron(eye, k))
+        + 2.0 * sp.kron(a, a)
+        - (sp.kron(number_a, eye) + sp.kron(eye, number_a))
+    )
+    n_a, n_d = np.divmod(basis, dim)
+    parity = (n_a + n_d) % 2
+    rows, cols = np.nonzero(np.triu(parity[:, None] == parity[None, :]))
+    upper = rows * n + cols
+    strict = np.flatnonzero(rows < cols)
+    mirror = cols[strict] * n + rows[strict]
+    fold = sp.csr_matrix(
+        (np.ones(upper.size + strict.size),
+         (np.r_[upper, mirror], np.r_[np.arange(upper.size), strict])),
+        shape=(n * n, upper.size),
+    )
+    return (lindblad.tocsr()[upper] @ fold).tocsr(), upper
+
+
 def on_square_basis(config, index, vec):
     """rho over the retained states, as the square-basis matrix, not symmetrised."""
     dim = (config.cutoff + 1) ** 2
@@ -203,7 +242,9 @@ def test_config_rejects_non_integer_cutoffs(mode, value):
 
 def test_config_accepts_numpy_integer_cutoffs():
     config = FockConfig(beta=1.0, r=0.3, t_final=0.5, cutoff=np.int64(8))
-    assert integrate_two_mode(config).rho.shape == (81, 81)
+    result = integrate_two_mode(config)
+    assert result.basis.tolist() == _simplex(8)[0].tolist()
+    assert result.rho.shape == (45, 45)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -230,6 +271,18 @@ def test_work_over_the_budget_is_refused_before_any_step(monkeypatch, beta, t_fi
     with pytest.raises(InvalidParameterError, match="exceeds the budget 2e[+]09") as err:
         integrate_two_mode(FockConfig(beta=beta, r=0.1, t_final=t_final, cutoff=cutoff))
     assert f"beta {beta:g}, t_final {t_final:g} and cutoff {cutoff}" in str(err.value)
+
+
+@pytest.mark.parametrize("beta,cutoff,unbounded", [(1e308, 6, True), (1e6, 20, False)])
+def test_refusal_gives_a_time_estimate_only_for_finite_work(monkeypatch, beta, cutoff, unbounded):
+    """beta 1e308 makes W infinite, where the refusal once read "about inf s"."""
+    monkeypatch.setattr(fock, "_taylor_step", never_step)
+    with pytest.raises(InvalidParameterError) as err:
+        integrate_two_mode(FockConfig(beta=beta, r=0.1, t_final=0.25, cutoff=cutoff))
+    message = str(err.value)
+    assert ("the work is unbounded (not finite)" in message) is unbounded
+    assert (" s at 30 ns per unit" in message) is not unbounded
+    assert "inf s" not in message
 
 
 def test_no_squeezing_stays_vacuum():
@@ -329,11 +382,14 @@ def test_parity_sector_matches_full_basis(beta, r, t_final, cutoff):
     outside = np.ones(dims[0] * dims[1], dtype=bool)
     outside[[n_a * dims[1] + n_d for n_a, n_d in states]] = False
     result = integrate_two_mode(config)
-    for computed in (rho, result.rho):
+    assert result.basis.tolist() == [n_a * dims[1] + n_d for n_a, n_d in states]
+    square = np.zeros_like(rho)
+    square[np.ix_(result.basis, result.basis)] = result.rho
+    for computed in (rho, square):
         assert np.all(computed[other_parity] == 0)
         assert np.all(computed[outside] == 0) and np.all(computed[:, outside] == 0)
     assert all(np.trace(rho @ x.toarray()) == 0 for x in quadrature_operators(dims))
-    assert np.abs(result.rho - rho).max() <= 1e-12
+    assert np.abs(square - rho).max() <= 1e-12
     assert np.abs(result.covariance - covariance_from_density(rho, dims)).max() <= 1e-12
     assert abs(result.leakage - leakage) <= 1e-12
     steps = math.ceil(t_final / 0.25)
@@ -363,7 +419,8 @@ def test_taylor_stepping_matches_expm_multiply(beta, r, t_final, cutoff):
     rows, cols = np.divmod(upper, basis.size)
     n_d = basis % (cutoff + 1)
     phase = np.array([1, 1j, -1, -1j])[(n_d[rows] - n_d[cols]) % 4]
-    computed = result.rho[basis[rows], basis[cols]] * phase.conj()
+    assert np.array_equal(result.basis, basis)
+    computed = result.rho[rows, cols] * phase.conj()
     assert np.all(computed.imag == 0)
     assert np.abs(computed.real - vec).max() <= 1e-13
 
@@ -394,6 +451,62 @@ def test_generator_is_real_on_the_upper_triangle():
     assert generator.dtype == np.float64
     assert generator.shape == (13_486, 13_486) and upper.size == 13_486
     assert generator.nnz == 117_140
+
+
+@pytest.mark.parametrize(
+    "beta,r,cutoff", [(2.5, 0.5, 6), (0.0, 0.4, 6), (1.0, 0.0, 12), (1.5, 0.3, 20)]
+)
+def test_sector_generator_matches_the_kron_build(beta, r, cutoff):
+    """The generator built row by row on the upper sector is the kron-built
+    generator, restricted and folded: the same triangle, the same nonzeros,
+    and entries equal to 1e-14 (the kron build's a^dag a holds sqrt(n)^2,
+    the sector build n).  beta 0 and r 0 check that zero terms leave no
+    stored entry."""
+    config = FockConfig(beta=beta, r=r, t_final=4.0, cutoff=cutoff)
+    basis, _ = _simplex(cutoff)
+    generator, upper = _liouvillian(config, basis)
+    reference, reference_upper = kron_liouvillian(config, basis)
+    assert np.array_equal(upper, reference_upper)
+    assert generator.nnz == reference.nnz
+    assert abs(generator - reference).max() <= 1e-14
+    reference.sort_indices()
+    generator.sort_indices()
+    assert np.array_equal(generator.indptr, reference.indptr)
+    assert np.array_equal(generator.indices, reference.indices)
+
+
+def planted(cutoff, entries):
+    """A Taylor step that ignores its input and returns the triangle vector
+    of the gauged rho' whose entries (state, state, value) are given, states
+    as (n_a, n_d); the mirror entry of an off-diagonal one is implied."""
+    config = FockConfig(beta=1.0, r=0.1, t_final=0.25, cutoff=cutoff)
+    basis, _ = _simplex(cutoff)
+    _, upper = _liouvillian(config, basis)
+    index = {state: i for i, state in enumerate(simplex_states(cutoff))}
+    vec = np.zeros(upper.size)
+    for ket, bra, value in entries:
+        i, j = sorted((index[ket], index[bra]))
+        vec[np.searchsorted(upper, i * basis.size + j)] = value
+    return lambda generator, _: vec.copy()
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        # [[0.5, 0.7], [0.7, 0.5]] has the eigenvalues 1.2 and -0.2
+        ([((0, 0), (0, 0), 0.5), ((1, 1), (1, 1), 0.5), ((0, 0), (1, 1), 0.7)], "negative eigenvalue"),
+        ([((1, 0), (1, 0), 0.5), ((0, 1), (0, 1), 0.5), ((1, 0), (0, 1), 0.7)], "negative eigenvalue"),
+        ([((0, 0), (0, 0), 1.5)], "trace"),
+        ([((0, 0), (0, 0), 1.0), ((2, 0), (2, 0), math.nan)], "not finite"),
+    ],
+    ids=["even-block", "odd-block", "trace", "nan"],
+)
+def test_unphysical_final_state_is_refused(monkeypatch, entries, message):
+    """The oracle checks its own final state: finite, of trace 1, and
+    positive in each parity block of n_a + n_d."""
+    monkeypatch.setattr(fock, "_taylor_step", planted(6, entries))
+    with pytest.raises(UnphysicalStateError, match=message):
+        integrate_two_mode(FockConfig(beta=1.0, r=0.1, t_final=0.25, cutoff=6))
 
 
 @pytest.mark.parametrize("cutoff", [4, 6, 20])

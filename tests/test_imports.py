@@ -48,6 +48,8 @@ def test_default_path_loads_no_scipy(tmp_path):
     assert "scipy.sparse" in record["oracle_loads"]
     # the oracle steps its own Taylor series: no expm_multiply, no dense linalg
     assert not [m for m in record["oracle_loads"] if m.startswith(("scipy.sparse.linalg", "scipy.linalg"))]
+    # and it finds the parity blocks of rho with numpy, not a graph search
+    assert not [m for m in record["oracle_loads"] if m.startswith("scipy.sparse.csgraph")]
     assert json.loads((tmp_path / "oracle.json").read_text())["oracle"]["trace_error"] < 1e-8
 
 
